@@ -17,6 +17,7 @@ from .core import (
     spectral_stats,
     to_pm_spectrum,
     wht,
+    xor_convolve,
 )
 from .errors import (
     BoolFourierError,

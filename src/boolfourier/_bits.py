@@ -17,7 +17,6 @@ __all__ = [
     "lowest_set_bit",
     "highest_set_bit",
     "delete_bit",
-    "parity_with_mask",
     "popcounts",
 ]
 
@@ -66,12 +65,6 @@ def delete_bit(mask: int, pos: int) -> int:
     low = mask & ((1 << pos) - 1)
     high = mask >> (pos + 1)
     return low | (high << pos)
-
-
-def parity_with_mask(xs: np.ndarray, mask: int) -> np.ndarray:
-    """Vector of <mask, x> over an int64 array of points (values 0/1, uint8)."""
-    masked = np.bitwise_and(xs, np.int64(mask))
-    return (np.bitwise_count(masked) & 1).astype(np.uint8)
 
 
 def popcounts(n: int) -> np.ndarray:

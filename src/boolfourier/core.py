@@ -39,6 +39,7 @@ __all__ = [
     "anf_to_function",
     "deg2",
     "spectral_stats",
+    "xor_convolve",
     "pointwise_product",
     "hypercontractivity_check",
 ]
@@ -248,27 +249,26 @@ def wht(f: BooleanFunction) -> Spectrum:
 def inverse_wht(spectrum: Spectrum) -> BooleanFunction:
     """Reconstruct the truth table; raises NotBoolean if any value is not 0/1."""
     n, k = spectrum.n, spectrum.denom_exp
-    size = 1 << n
-    peak = spectrum.l1_num()
-    if peak < _INT64_SAFE:
-        dense = np.zeros(size, dtype=np.int64)
-        for mask, num in spectrum.coeffs.items():
-            dense[mask] = num
-        vals = _butterfly_sum(dense)
-    else:
-        dense = np.zeros(size, dtype=object)
-        for mask, num in spectrum.coeffs.items():
-            dense[mask] = num
-        vals = _butterfly_sum(dense)
+    coeffs = spectrum.coeffs
+    if spectrum.l1_num() >= _INT64_SAFE:
+        # Cancel the powers of two shared by every numerator.  What remains
+        # of a 0/1 function has |num| <= 2^n, so l1 <= 4^n < 2^62: a larger
+        # l1 proves some value is not 0 or 1, and int64 is exact otherwise.
+        low = 0
+        for num in coeffs.values():
+            low |= num
+        shift = min(k, (low & -low).bit_length() - 1)
+        coeffs = {mask: num >> shift for mask, num in coeffs.items()}
+        k -= shift
+        if sum(abs(v) for v in coeffs.values()) >= _INT64_SAFE:
+            raise NotBoolean(f"l1 numerator over 2^{k} is too large for a 0/1 function")
+    vals = _butterfly_sum(_dense(coeffs, n, np.int64))
     unit = 1 << k
-    table = np.zeros(size, dtype=np.uint8)
-    for x in range(size):
-        v = int(vals[x])
-        if v == unit:
-            table[x] = 1
-        elif v != 0:
-            raise NotBoolean(f"value {v}/{unit} at x={x} is not 0 or 1")
-    return BooleanFunction(n, table)
+    bad = np.flatnonzero((vals != 0) & (vals != unit))
+    if bad.size:
+        x = int(bad[0])
+        raise NotBoolean(f"value {int(vals[x])}/{unit} at x={x} is not 0 or 1")
+    return BooleanFunction(n, (vals != 0).astype(np.uint8))
 
 
 def to_pm_spectrum(spectrum: Spectrum) -> Spectrum:
@@ -337,19 +337,67 @@ def spectral_stats(spectrum: Spectrum) -> SpectralStats:
     )
 
 
+def _dense(coeffs: Mapping[int, int], n: int, dtype) -> np.ndarray:
+    arr = np.zeros(1 << n, dtype=dtype)
+    arr[list(coeffs)] = list(coeffs.values())
+    return arr
+
+
+def _convolve_pairs(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+    """XOR convolution by the double loop over support pairs."""
+    out: Dict[int, int] = {}
+    for s, u in a.items():
+        for t, v in b.items():
+            key = s ^ t
+            out[key] = out.get(key, 0) + u * v
+    return {key: out[key] for key in sorted(out) if out[key]}
+
+
+def _convolve_butterfly(a: Mapping[int, int], b: Mapping[int, int], n: int) -> Dict[int, int]:
+    """XOR convolution as 2^-n * H(H(a) * H(b)), exact on int64 or objects.
+
+    Every entry of a butterfly pass is a signed sum of the pass's inputs, so
+    the first passes stay below l1(a) and l1(b), and the last one below
+    sum |Ha * Hb| <= 2^n * max|Ha| * max|Hb|.  Each pass runs on int64 when
+    its bound is below 2^62 and on Python ints otherwise.
+    """
+    wide = max(sum(map(abs, a.values())), sum(map(abs, b.values()))) >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    ha = _butterfly_sum(_dense(a, n, dtype))
+    hb = ha if a is b else _butterfly_sum(_dense(b, n, dtype))
+    if not wide and (int(np.abs(ha).max()) * int(np.abs(hb).max())) << n >= _INT64_SAFE:
+        ha, hb = ha.astype(object), hb.astype(object)
+    conv = _butterfly_sum(ha * hb)
+    nz = np.flatnonzero(conv)
+    return dict(zip(nz.tolist(), (conv[nz] >> n).tolist()))
+
+
+def xor_convolve(a: Mapping[int, int], b: Mapping[int, int], n: int) -> Dict[int, int]:
+    """Exact XOR convolution of two maps on masks below 2^n.
+
+    The value at s is the sum over t of a[t] * b[s ^ t]; the result keeps the
+    nonzero values in ascending mask order.  When l0(a) * l0(b) exceeds
+    (n + 1) * 2^n it is three Walsh-Hadamard butterflies (int64 while that
+    is exact: always for +/-1 spectra with n <= 20); otherwise the double
+    loop over support pairs.
+    """
+    if len(a) * len(b) > (n + 1) << n:
+        return _convolve_butterfly(a, b, n)
+    return _convolve_pairs(a, b)
+
+
 def pointwise_product(a: Spectrum, b: Spectrum) -> Spectrum:
     """Spectrum of the pointwise product: convolution of coefficient maps.
 
-    denom_exp adds; the numerator at s is sum over t of num_a(t)*num_b(s^t).
+    denom_exp adds; the numerator at s is sum over t of num_a(t)*num_b(s^t),
+    computed by ``xor_convolve``: three butterflies when l0(a) * l0(b) >
+    (n + 1) * 2^n, else the pair loop.  For +/-1 spectra the butterflies are
+    exact on int64 up to n = 20 (their values reach 2^(3n)) and use Python
+    ints above that.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"spectra on n={a.n} and n={b.n}")
-    out: Dict[int, int] = {}
-    for s, u in a.coeffs.items():
-        for t, v in b.coeffs.items():
-            key = s ^ t
-            out[key] = out.get(key, 0) + u * v
-    return Spectrum(a.n, a.denom_exp + b.denom_exp, out)
+    return Spectrum(a.n, a.denom_exp + b.denom_exp, xor_convolve(a.coeffs, b.coeffs, a.n))
 
 
 def hypercontractivity_check(

@@ -71,6 +71,24 @@ def deg_oracle(table: Sequence[int]) -> int:
     return max((m.bit_count() for m in mons), default=0)
 
 
+def x1_first_string(mask: int, n: int) -> str:
+    """The mask as the bitstring x1 x2 ... xn; string order is x1-first order."""
+    return "".join(str((mask >> i) & 1) for i in range(n))
+
+
+def heavy_direction_oracle(support: Iterable[int], n: int) -> Tuple[int, int]:
+    """(t, p(t)) maximizing the count p(t) of unordered support pairs with XOR t.
+
+    Counts every pair directly; ties go to the x1-first smallest t.
+    """
+    counts: Dict[int, int] = {}
+    for s, u in itertools.combinations(sorted(support), 2):
+        counts[s ^ u] = counts.get(s ^ u, 0) + 1
+    best = max(counts.values())
+    t = min((t for t, c in counts.items() if c == best), key=lambda t: x1_first_string(t, n))
+    return t, best
+
+
 def _independent(masks: Sequence[int]) -> bool:
     """GF(2) linear independence by elimination on plain ints."""
     rows = list(masks)

@@ -1,5 +1,7 @@
 """Spectrum, ANF and stats against independent oracles and frozen values."""
 
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -21,7 +23,9 @@ from boolfourier import (
     spectral_stats,
     to_pm_spectrum,
     wht,
+    xor_convolve,
 )
+from boolfourier.core import _convolve_butterfly, _convolve_pairs
 
 from helpers import anf_oracle, deg_oracle, pm_spectrum_oracle, wht_oracle
 
@@ -145,6 +149,23 @@ def test_inverse_wht_roundtrip(f):
     assert np.array_equal(inverse_wht(wht(f)).table, f.table)
 
 
+def test_inverse_wht_rejects_first_bad_point():
+    with pytest.raises(NotBoolean, match=r"value 3/8 at x=0 is not 0 or 1"):
+        inverse_wht(Spectrum(3, 3, {0: 3}))
+    # values 4, -2, 4, -2 over 4: x=1 is the first point off {0, 1}
+    with pytest.raises(NotBoolean, match=r"value -2/4 at x=1 is not 0 or 1"):
+        inverse_wht(Spectrum(2, 2, {0: 1, 1: 3}))
+
+
+def test_inverse_wht_huge_numerators():
+    # the same function over 2^80: numerators beyond int64 cancel exactly
+    spec = wht(IP4)
+    wide = Spectrum(4, 80, {m: v << 76 for m, v in spec.coeffs.items()})
+    assert np.array_equal(inverse_wht(wide).table, IP4.table)
+    with pytest.raises(NotBoolean):
+        inverse_wht(Spectrum(4, 4, {0: 1 << 70, 1: 1}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_function(st.integers(1, 7)))
 def test_anf_roundtrip(f):
@@ -159,14 +180,65 @@ def test_parseval(f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_function(st.integers(1, 5)), random_function(st.integers(1, 5)))
-def test_pointwise_product_is_convolution(f, g):
-    if f.n != g.n:
-        return
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(random_function(st.just(n)), random_function(st.just(n)))
+    )
+)
+def test_pointwise_product_is_convolution(fg):
+    f, g = fg
     # product spectrum == spectrum of the pointwise AND of 0/1 functions
     prod = BooleanFunction(f.n, [a & b for a, b in zip(f.table, g.table)])
     got = pointwise_product(wht(f), wht(g))
     assert got.values_equal(wht(prod))
+
+
+def random_signed_map(rng: random.Random, n: int, density: float, scale: int) -> dict:
+    return {
+        m: rng.choice((-1, 1)) * rng.randint(1, scale)
+        for m in range(1 << n)
+        if rng.random() < density
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_xor_convolve_paths_agree(n, density_a, density_b, seed):
+    rng = random.Random(seed)
+    a = random_signed_map(rng, n, density_a, 1000)
+    b = random_signed_map(rng, n, density_b, 1000)
+    for x, y in ((a, b), (a, a), (b, b)):
+        pairs = _convolve_pairs(x, y)
+        butterfly = _convolve_butterfly(x, y, n)
+        assert butterfly == pairs
+        assert list(butterfly) == sorted(pairs)
+        assert xor_convolve(x, y, n) == pairs
+
+
+@pytest.mark.parametrize("scale", [1 << 40, 1 << 70])
+def test_xor_convolve_large_numerators_exact(scale):
+    # 2^40 passes the first int64 butterflies but its product bound
+    # 2^6 * (64 * 2^40)^2 does not; 2^70 does not fit int64 at all.
+    rng = random.Random(scale.bit_length())
+    a = random_signed_map(rng, 6, 1.0, scale)
+    b = random_signed_map(rng, 6, 0.9, scale)
+    assert _convolve_butterfly(a, b, 6) == _convolve_pairs(a, b)
+    assert _convolve_butterfly(a, a, 6) == _convolve_pairs(a, a)
+    assert xor_convolve(a, b, 6) == _convolve_pairs(a, b)
+
+
+def test_boolean_autocorrelation_both_paths():
+    # (-1)^f squared is 1: the +/-1 spectrum convolved with itself is delta_0
+    for f in (AND2, IP4, MAJ3, PAR3):
+        pm = to_pm_spectrum(wht(f)).coeffs
+        unit = {0: 1 << (2 * f.n)}
+        assert _convolve_pairs(pm, pm) == unit
+        assert _convolve_butterfly(pm, pm, f.n) == unit
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Tree builders, certificates, exact rank and the signed decomposition."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +17,7 @@ from boolfourier import (
     Pdt,
     PdtLeaf,
     PdtNode,
+    Spectrum,
     TooLarge,
     build_degree_reduce,
     build_greedy_l1,
@@ -40,7 +42,9 @@ from boolfourier import (
     wht,
 )
 
-from helpers import parity, rank_oracle
+from boolfourier.pdt import _heavy_direction
+
+from helpers import heavy_direction_oracle, parity, rank_oracle, x1_first_string
 
 AND2 = BooleanFunction(2, [0, 0, 0, 1])
 IP4 = generate(FamilySpec("bent_ip", {"k": 4}))
@@ -79,6 +83,38 @@ def test_heavy_hitter_tree_and2_frozen():
     tree, _ = build_heavy_hitter(AND2)
     # ties on pair counts resolve to the x1-first smallest mask: same tree
     assert tree_to_dict(tree) == tree_to_dict(build_greedy_l1(AND2)[0])
+
+
+HEAVY_FROZEN = json.loads((Path(__file__).parent / "data" / "heavy_hitter_frozen.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(HEAVY_FROZEN))
+def test_heavy_hitter_trees_frozen(label):
+    # bent_ip(k=8) has full support, so every direction ties at the root
+    entry = HEAVY_FROZEN[label]
+    tree, trace = build_heavy_hitter(generate(FamilySpec(entry["kind"], entry["params"])))
+    assert tree_to_dict(tree) == entry["tree"]
+    assert [node.info.get("pairs") for node in trace.nodes] == entry["pairs"]
+
+
+def supports(max_n=8):
+    """(n, support) with 2 <= l0 <= 2^n, sparse or dense enough for butterflies."""
+    def of(n):
+        sparse = st.sets(st.integers(0, (1 << n) - 1), min_size=2, max_size=12)
+        dense = st.integers(0, (1 << (1 << n)) - 1).map(
+            lambda v: {m for m in range(1 << n) if (v >> m) & 1}
+        )
+        return st.tuples(st.just(n), st.one_of(sparse, dense).filter(lambda s: len(s) >= 2))
+
+    return st.integers(1, max_n).flatmap(of)
+
+
+@settings(max_examples=80, deadline=None)
+@given(supports(), st.integers(1, 5))
+def test_heavy_direction_matches_oracle(n_support, scale):
+    n, support = n_support
+    spec = Spectrum(n, n, {m: scale if m & 1 else -scale for m in support})
+    assert _heavy_direction(spec) == heavy_direction_oracle(support, n)
 
 
 def test_span_query_tree_and2_frozen():
@@ -303,6 +339,19 @@ def test_norm_halving_f5_trace_frozen():
     for s in steps:
         assert 2 * s.l1_after <= s.l1_before
         assert s.l1_split[0] + s.l1_split[1] == s.l1_before
+
+
+@settings(max_examples=50, deadline=None)
+@given(functions(7, min_n=3))
+def test_norm_halving_first_direction_is_lex_least(f):
+    assume(deg2(f) >= 3)
+    _, steps = cert_norm_halving_with_trace(f)
+    size = 1 << f.n
+    table = [int(v) for v in f.table]
+    nonconstant = [
+        u for u in range(1, size) if len({table[x] ^ table[x ^ u] for x in range(size)}) == 2
+    ]
+    assert steps[0].derivative_mask == min(nonconstant, key=lambda u: x1_first_string(u, f.n))
 
 
 @settings(max_examples=50, deadline=None)
