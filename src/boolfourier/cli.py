@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ._bits import mask_to_string, string_to_mask
-from .core import BooleanFunction, deg2, spectral_stats, to_pm_spectrum, wht
+from .core import N_MAX, BooleanFunction, deg2, spectral_stats, to_pm_spectrum, wht
 from .comm import matrix_rank_exact, simulate_protocol, verify_protocol, xor_matrix
 from .errors import BoolFourierError, InvalidSpec, InvalidTree, NotFound, TooLarge
 from .families import FAMILY_KINDS, FamilySpec, generate
@@ -80,8 +80,8 @@ def _parse_int(text: str, pos: int, what: str) -> int:
 
 def _parse_tt(n_str: str, hex_str: str, base: int) -> BooleanFunction:
     n = _parse_int(n_str, base, "n")
-    if not 1 <= n <= 24:
-        raise _spec_error(f"n must be in 1..24, got {n}", base)
+    if not 1 <= n <= N_MAX:
+        raise _spec_error(f"n must be in 1..{N_MAX}, got {n}", base)
     hex_pos = base + len(n_str) + 1
     want = -(-(1 << n) // 4)  # ceil(2^n / 4) hex digits
     if len(hex_str) != want:
@@ -102,8 +102,8 @@ def _parse_anf(n_str: str, poly: str, base: int) -> BooleanFunction:
     from .core import ANF, anf_to_function
 
     n = _parse_int(n_str, base, "n")
-    if not 1 <= n <= 24:
-        raise _spec_error(f"n must be in 1..24, got {n}", base)
+    if not 1 <= n <= N_MAX:
+        raise _spec_error(f"n must be in 1..{N_MAX}, got {n}", base)
     poly_pos = base + len(n_str) + 1
     if not poly:
         raise _spec_error("empty polynomial", poly_pos)

@@ -11,7 +11,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ._bits import dot, lowest_set_bit
+from ._bits import lowest_set_bit
 from .errors import DependentInput, DimensionMismatch
 
 __all__ = [
@@ -90,38 +90,6 @@ class Gf2Matrix:
     def rank(self) -> int:
         return gf2_rank(self.rows)
 
-    def mul_vec(self, x: int) -> int:
-        """Matrix-vector product; bit i of the result is <row_i, x>."""
-        y = 0
-        for i, row in enumerate(self.rows):
-            if dot(row, x):
-                y |= 1 << i
-        return y
-
-    def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for row in self.rows:
-            acc = 0
-            j = 0
-            while row:
-                if row & 1:
-                    acc ^= other.rows[j]
-                row >>= 1
-                j += 1
-            out.append(acc)
-        return Gf2Matrix(out, other.ncols)
-
-    def transpose(self) -> "Gf2Matrix":
-        cols = []
-        for j in range(self.ncols):
-            col = 0
-            for i, row in enumerate(self.rows):
-                col |= ((row >> j) & 1) << i
-            cols.append(col)
-        return Gf2Matrix(cols, self.nrows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf2Matrix):
             return NotImplemented
@@ -167,8 +135,9 @@ def gf2_invert(matrix: Gf2Matrix) -> Optional[Gf2Matrix]:
 class LinearMap:
     """Invertible linear change of coordinates on {0,1}^n.
 
-    ``forward`` acts on points: ``apply(x)`` has bit i equal to
-    ``<forward.rows[i], x>``.  The inverse matrix is computed on construction.
+    ``forward`` acts on points: it maps x to the point whose bit i is
+    ``<forward.rows[i], x>`` (see ``apply_linear``).  The inverse matrix is
+    computed on construction.
     """
 
     __slots__ = ("forward", "inverse")
@@ -185,12 +154,6 @@ class LinearMap:
     @property
     def n(self) -> int:
         return self.forward.ncols
-
-    def apply(self, x: int) -> int:
-        return self.forward.mul_vec(x)
-
-    def apply_inverse(self, y: int) -> int:
-        return self.inverse.mul_vec(y)
 
     def __repr__(self) -> str:
         return f"LinearMap(rows={self.forward.rows})"

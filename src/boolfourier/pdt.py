@@ -90,12 +90,14 @@ DEGREE_SEARCH_BUDGET = 50_000
 _SEARCH_N_LIMIT = 12
 
 
-@dataclass(frozen=True)
+# Slotted: callers keep whole trees, and a node without a __dict__ takes
+# about half the memory.
+@dataclass(frozen=True, slots=True)
 class PdtLeaf:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdtNode:
     mask: int
     child0: "PdtNodeOrLeaf"

@@ -3,7 +3,9 @@
 The oracles recompute everything from definitions in plain Python (direct
 double-loop transforms, subset-sum Moebius, point-selection restrictions,
 Fraction Gaussian elimination) so package results can be checked against
-arithmetic that shares no code with the implementation.
+arithmetic that shares no code with the implementation.  The one exception,
+``protocol_oracle``, is the per-pair loop over ``simulate_protocol`` that the
+vectorized ``verify_protocol`` is checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from boolfourier import FamilySpec, generate
+from boolfourier import FamilySpec, generate, simulate_protocol
 
 # ---------------------------------------------------------------------------
 # Independent oracles (no package imports beyond corpus construction).
@@ -186,6 +188,23 @@ def xor_matrix_oracle(table: Sequence[int]) -> List[List[int]]:
     table = [int(v) for v in table]
     size = len(table)
     return [[table[x ^ y] for y in range(size)] for x in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# Per-pair reference loop over a package primitive.
+
+
+def protocol_oracle(tree, f) -> bool:
+    """Whether the protocol of ``tree`` outputs f(x xor y) on every pair.
+
+    One ``simulate_protocol`` walk per (x, y), all 4^n of them.
+    """
+    size = 1 << f.n
+    return all(
+        simulate_protocol(tree, x, y).output == f.value(x ^ y)
+        for x in range(size)
+        for y in range(size)
+    )
 
 
 # ---------------------------------------------------------------------------

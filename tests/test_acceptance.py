@@ -256,6 +256,7 @@ def test_criterion_08_green_sanders():
 def test_criterion_09_protocol_simulation():
     violations = []
     checked = 0
+    t0 = time.perf_counter()
     for label, f in CORPUS:
         if f.n > 8:
             continue
@@ -272,9 +273,10 @@ def test_criterion_09_protocol_simulation():
         rep = verify_protocol(tree, ip4)
         if not (rep.correct and rep.max_cost <= 8):
             violations.append(f"bent_ip(4)/{name}: cost {rep.max_cost}")
+    elapsed = time.perf_counter() - t0
     _report(9, violations,
             f"verify_protocol correct with cost 2*depth on {checked} functions; "
-            f"bent_ip(4) within 8 bits")
+            f"bent_ip(4) within 8 bits; {elapsed:.1f}s")
 
 
 GOLDEN_ARGS = [

@@ -1,22 +1,30 @@
 """XOR-function matrices, exact integer rank and protocol simulation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolfourier import (
     BooleanFunction,
+    DimensionMismatch,
     FamilySpec,
+    Pdt,
+    PdtLeaf,
+    PdtNode,
     TooLarge,
     build_greedy_l1,
+    comm,
     generate,
+    gf2_rank,
     matrix_rank_exact,
+    pdt_eval,
     simulate_protocol,
     verify_protocol,
     wht,
     xor_matrix,
 )
 
-from helpers import matrix_rank_oracle, xor_matrix_oracle
+from helpers import matrix_rank_oracle, protocol_oracle, xor_matrix_oracle
 
 AND2 = BooleanFunction(2, [0, 0, 0, 1])
 PAR1 = BooleanFunction(1, [0, 1])
@@ -80,6 +88,76 @@ def test_matrix_rank_matches_fraction_oracle(m):
     assert matrix_rank_exact(m) == matrix_rank_oracle(m)
 
 
+P = 2**31 - 1  # the prime of the modular lower bound
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Count the calls that reach the Bareiss fallback."""
+    calls = []
+    bareiss = comm._bareiss_rank
+
+    def counted(a):
+        calls.append(a.shape)
+        return bareiss(a)
+
+    monkeypatch.setattr(comm, "_bareiss_rank", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.randoms(use_true_random=False))
+def test_matrix_rank_of_low_rank_products(rows, cols, rng):
+    # A (rows x k) times B (k x cols) with k below both sides has rank <= k
+    k = rng.randrange(1, min(rows, cols))
+    a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+    b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+    m = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)).tolist()
+    want = matrix_rank_oracle(m)
+    assert want <= k
+    assert matrix_rank_exact(m) == want
+    assert matrix_rank_exact(np.array(m, dtype=np.int64)) == want
+    assert matrix_rank_exact(np.array(m, dtype=np.int64).T) == want
+
+
+def test_matrix_rank_beyond_int64(bareiss_calls):
+    # full rank mod p already: the lower bound alone settles it
+    assert matrix_rank_exact([[2**70, 1], [2**71, 3]]) == 2
+    # rank 1, certified by the factorization checked on Python ints
+    assert matrix_rank_exact([[2**70, 2**71], [-1, -2]]) == 1
+    assert bareiss_calls == []
+
+
+def test_matrix_rank_multiples_of_p_reach_bareiss(bareiss_calls):
+    # zero mod p, rank 2 over Q: the factorization check must fail
+    assert matrix_rank_exact([[P, 0], [0, P]]) == 2
+    assert matrix_rank_exact([[P, 1], [0, 1]]) == 2
+    assert len(bareiss_calls) == 2
+
+
+def test_matrix_rank_unliftable_entries_reach_bareiss(bareiss_calls):
+    # rank 1, but the echelon row is (1, 2^70) and its residue 2^70 mod p
+    # lifts to 256, so the factorization check fails
+    assert matrix_rank_exact([[1, 2**70], [3, 3 * 2**70]]) == 1
+    assert matrix_rank_exact([[1, 2**70, 5], [3, 3 * 2**70, 15]]) == 1
+    assert len(bareiss_calls) == 2
+
+
+def test_matrix_rank_rejects_bad_input():
+    with pytest.raises(DimensionMismatch):
+        matrix_rank_exact([1, 2, 3])
+    with pytest.raises(TypeError):
+        matrix_rank_exact([[0.5, 1]])
+    assert matrix_rank_exact([[]]) == 0
+
+
+def test_matrix_rank_n8(bareiss_calls):
+    assert matrix_rank_exact(xor_matrix(generate(FamilySpec("bent_ip", {"k": 8})))) == 256
+    par = generate(FamilySpec("parity", {"n": 8}))
+    assert matrix_rank_exact(xor_matrix(par)) == wht(par).l0() == 2
+    assert bareiss_calls == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(functions(5))
 def test_rank_equals_sparsity(f):
@@ -133,3 +211,65 @@ def test_bent_ip4_protocol_cost():
     report = verify_protocol(tree, f)
     assert report.correct
     assert report.max_cost <= 8
+
+
+def _random_tree(rng, n):
+    """A random parity tree on n variables with independent masks on each path."""
+
+    def grow(path):
+        if len(path) == n or rng.random() < 0.3:
+            return PdtLeaf(rng.getrandbits(1))
+        while True:
+            mask = rng.randrange(1, 1 << n)
+            if gf2_rank(path + [mask]) == len(path) + 1:
+                break
+        return PdtNode(mask, grow(path + [mask]), grow(path + [mask]))
+
+    return Pdt(n, grow([]))
+
+
+def _flip_one_leaf(node, rng):
+    if isinstance(node, PdtLeaf):
+        return PdtLeaf(1 - node.value)
+    if rng.getrandbits(1):
+        return PdtNode(node.mask, node.child0, _flip_one_leaf(node.child1, rng))
+    return PdtNode(node.mask, _flip_one_leaf(node.child0, rng), node.child1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_verify_protocol_matches_per_pair_oracle(n, rng):
+    tree = _random_tree(rng, n)
+    f = BooleanFunction(n, [pdt_eval(tree, z) for z in range(1 << n)])
+    assert verify_protocol(tree, f).correct
+    assert protocol_oracle(tree, f)
+    flipped = Pdt(n, _flip_one_leaf(tree.root, rng))
+    assert not verify_protocol(flipped, f).correct
+    assert not protocol_oracle(flipped, f)
+    g = BooleanFunction.from_int(n, rng.getrandbits(1 << n))
+    assert verify_protocol(tree, g).correct == protocol_oracle(tree, g)
+
+
+def test_verify_protocol_n8_detects_one_point():
+    f = generate(FamilySpec("bent_ip", {"k": 8}))
+    tree, _ = build_greedy_l1(f)
+    assert verify_protocol(tree, f).correct
+    for z in (0, 0x5A, 0xFF):
+        table = f.table.copy()
+        table[z] ^= 1
+        report = verify_protocol(tree, BooleanFunction(8, table))
+        assert not report.correct
+        assert report.max_cost == 2 * tree.depth()
+
+
+def test_verify_protocol_rejects_mismatched_n():
+    tree, _ = build_greedy_l1(AND2)
+    with pytest.raises(DimensionMismatch):
+        verify_protocol(tree, PAR1)
+
+
+def test_verify_protocol_too_large():
+    f = generate(FamilySpec("parity", {"n": 9}))
+    tree, _ = build_greedy_l1(f)
+    with pytest.raises(TooLarge):
+        verify_protocol(tree, f)
