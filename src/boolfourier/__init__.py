@@ -43,7 +43,6 @@ from .gf2 import (
     dickson_matrix,
     gf2_invert,
     gf2_rank,
-    span_dim,
 )
 from .restrict import (
     AffineConstraint,

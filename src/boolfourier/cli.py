@@ -63,6 +63,10 @@ STRATEGIES = {
 
 _SWEEP_FAMILIES = ("bent_ip", "and", "or", "parity", "majority", "random_poly")
 
+# Default candidate-subspace budget of `rank`: the exhaustive search takes
+# minutes from n = 9 on, so past this many subspaces it exits with code 1.
+RANK_CANDIDATE_BUDGET = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Function spec parsing.
@@ -308,7 +312,7 @@ def _cmd_cert(args) -> int:
 
 def _cmd_rank(args) -> int:
     f = parse_function_spec(args.fn)
-    result = rank_exact(f, max_codim=args.max_codim)
+    result = rank_exact(f, max_codim=args.max_codim, max_candidates=args.max_candidates)
     _emit(
         {
             "rank": result.rank,
@@ -539,6 +543,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="exact polynomial rank")
     p.add_argument("fn")
     p.add_argument("--max-codim", type=int, default=4)
+    p.add_argument(
+        "--max-candidates",
+        type=int,
+        default=RANK_CANDIDATE_BUDGET,
+        help="subspaces to examine before giving up with exit code 1",
+    )
     p.set_defaults(func=_cmd_rank)
 
     comm = sub.add_parser("comm", help="XOR-function communication tools")

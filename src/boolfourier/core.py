@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 # Largest supported number of variables; transform buffers are dense arrays
-# of size 2**n, so this is a memory guard, not a numerical one.
+# of size 2**n, so this is a memory guard.  It also keeps ``wht``'s int32
+# character sums exact: 2**N_MAX < 2**31.
 N_MAX = 24
 
 _INT64_SAFE = 1 << 62
@@ -239,8 +240,9 @@ def wht(f: BooleanFunction) -> Spectrum:
 
     Returned numerators are the exact character sums at denom_exp = n.
     """
-    # Values are bounded by 2**n <= 2**N_MAX, so int64 is exact.
-    sums = _butterfly_sum(f.table.astype(np.int64))
+    # Every character sum has magnitude at most 2**n <= 2**N_MAX = 2**24 < 2**31,
+    # so int32 is exact; it halves the buffers against int64.
+    sums = _butterfly_sum(f.table.astype(np.int32))
     nz = np.nonzero(sums)[0]
     coeffs = {int(s): int(sums[s]) for s in nz}
     return Spectrum(f.n, f.n, coeffs)

@@ -18,7 +18,6 @@ __all__ = [
     "Gf2Matrix",
     "LinearMap",
     "gf2_rank",
-    "span_dim",
     "complete_basis",
     "apply_linear",
     "gf2_invert",
@@ -37,11 +36,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
         if row:
             basis.append(row)
     return len(basis)
-
-
-def span_dim(masks: Iterable[int]) -> int:
-    """Dimension of the span of a set of masks."""
-    return gf2_rank(masks)
 
 
 def echelon_pivots(rows: Sequence[int]) -> tuple[List[int], List[int]]:

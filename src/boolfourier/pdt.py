@@ -349,10 +349,16 @@ class _Frame:
 
 def _restrict_with_frame(
     g: BooleanFunction,
+    spec: Spectrum,
     frame: _Frame,
     constraints: Sequence[Tuple[int, int]],
-) -> Tuple[BooleanFunction, _Frame, List[AffineConstraint]]:
-    """Apply current-coordinate constraints stepwise; report original ones."""
+) -> Tuple[BooleanFunction, Spectrum, _Frame, List[AffineConstraint]]:
+    """Apply current-coordinate constraints stepwise; report original ones.
+
+    ``spec``, a spectrum of g, is folded along the same (t, b) steps, so it
+    stays a spectrum of the restriction at its own denom_exp (the identity
+    ``restrict_affine`` documents) without another transform.
+    """
     recorded = []
     pending = list(constraints)
     while pending:
@@ -360,9 +366,10 @@ def _restrict_with_frame(
         q = frame.query_mask(t)
         recorded.append(AffineConstraint(q, b ^ dot(q, frame.shift)))
         g = _restrict_once(g, t, b)
+        spec = fold(spec, t, b)
         frame = frame.restricted(t, b)
         pending = [_translate_constraint(tj, bj, t, b) for tj, bj in pending[1:]]
-    return g, frame, recorded
+    return g, spec, frame, recorded
 
 
 def _pm_of(g: BooleanFunction) -> Spectrum:
@@ -490,7 +497,7 @@ def _span_basis(spectrum: Spectrum) -> List[int]:
 
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
-    """Query a basis of the span of the support; depth is exactly span_dim."""
+    """Query a basis of the span of the support; depth is the span's dimension."""
     spec01 = wht(f)
     basis = _span_basis(spec01)
     d = len(basis)
@@ -519,7 +526,7 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
             )
         return PdtNode(q, children[0], children[1])
 
-    root = rec(_pm_of(f), _Frame.identity(f.n), 0, None, None)
+    root = rec(to_pm_spectrum(spec01), _Frame.identity(f.n), 0, None, None)
     return Pdt(f.n, root), trace
 
 
@@ -746,8 +753,9 @@ def build_degree_reduce(
     def span_tail(
         g: BooleanFunction, frame: _Frame, parent, branch, round_no: int
     ) -> PdtNodeOrLeaf:
-        spec = _pm_of(g)
-        basis = _span_basis(wht(g))
+        spec01 = wht(g)
+        spec = to_pm_spectrum(spec01)
+        basis = _span_basis(spec01)
 
         def rec(spec_pm: Spectrum, fr: _Frame, level: int, parent, branch):
             l0 = spec_pm.l0()
@@ -907,17 +915,15 @@ def cert_greedy_l1(f: BooleanFunction) -> Certificate:
     return Certificate(tuple(constraints), value)
 
 
-def _anchored_greedy(
-    g: BooleanFunction, anchor: int
-) -> List[Tuple[int, int]]:
+def _anchored_greedy(spec: Spectrum, anchor: int) -> List[Tuple[int, int]]:
     """Greedy-fold constraints (entry coordinates of g) through a fixed point.
 
-    Branches are forced to keep the anchor inside the subspace, so the final
-    constant equals g(anchor).  Constraints are reported in the coordinates g
-    was supplied in, not the shrinking fold coordinates.
+    ``spec`` is the +/-1 spectrum of g.  Branches are forced to keep the
+    anchor inside the subspace, so the final constant equals g(anchor).
+    Constraints are reported in the coordinates g was supplied in, not the
+    shrinking fold coordinates.
     """
-    spec = _pm_of(g)
-    local = _Frame.identity(g.n)
+    local = _Frame.identity(spec.n)
     out: List[Tuple[int, int]] = []
     y0 = anchor
     while True:
@@ -975,6 +981,9 @@ def cert_norm_halving_with_trace(
         raise ConstantInput("constant functions need no certificate")
     n = f.n
     g = f
+    # +/-1 spectrum of g over the root denominator 2**n, folded along with
+    # every restriction of g rather than transformed again.
+    spec = _pm_of(f)
     frame = _Frame.identity(n)
     constraints: List[AffineConstraint] = []
     steps: List[HalvingStep] = []
@@ -994,10 +1003,9 @@ def cert_norm_halving_with_trace(
             value = const
             break
         if d == 2:
-            value = _greedy_constraints(_pm_of(g), frame, constraints)
+            value = _greedy_constraints(spec, frame, constraints)
             break
         m = g.n
-        spec = _pm_of(g)
         t = None
         # lex_key is bit reversal, an involution: this is x1-first order.
         for cand in (lex_key(k, m) for k in range(1, 1 << m)):
@@ -1011,20 +1019,19 @@ def cert_norm_halving_with_trace(
         split0, split1 = spectrum_split(spec, t)
         l1_total = spec.l1_num()
         l1_0, l1_1 = split0.l1_num(), split1.l1_num()
-        sub0 = _anchored_greedy(deriv, int(np.nonzero(deriv.table == 0)[0][0]))
-        sub1 = _anchored_greedy(deriv, int(np.nonzero(deriv.table == 1)[0][0]))
+        deriv_spec = _pm_of(deriv)
+        sub0 = _anchored_greedy(deriv_spec, int(np.nonzero(deriv.table == 0)[0][0]))
+        sub1 = _anchored_greedy(deriv_spec, int(np.nonzero(deriv.table == 1)[0][0]))
         b_star = 0 if 2 * l1_0 <= l1_total else 1
         chosen = sub0 if b_star == 0 else sub1
-        scale = n - g.n
-        g, frame, recorded = _restrict_with_frame(g, frame, chosen)
+        g, spec, frame, recorded = _restrict_with_frame(g, spec, frame, chosen)
         constraints.extend(recorded)
-        l1_after = _pm_of(g).l1_num() << (n - g.n)
         step = HalvingStep(
             derivative_mask=t,
             chosen_branch=b_star,
-            l1_before=l1_total << scale,
-            l1_split=(l1_0 << scale, l1_1 << scale),
-            l1_after=l1_after,
+            l1_before=l1_total,
+            l1_split=(l1_0, l1_1),
+            l1_after=spec.l1_num(),
             sub_codims=(len(sub0), len(sub1)),
         )
         steps.append(step)

@@ -25,7 +25,7 @@ from .core import (
     wht,
 )
 from .errors import DependentInput, InvalidDegree, InvalidSpec, ZeroDensity
-from .gf2 import Gf2Matrix, LinearMap, apply_linear, span_dim
+from .gf2 import Gf2Matrix, LinearMap, apply_linear, gf2_rank
 from .pdt import build_greedy_l1, build_heavy_hitter, build_span_query
 from .restrict import fold, spectrum_split
 
@@ -250,7 +250,7 @@ def chang_check(f: BooleanFunction, eps_num: int) -> ChangResult:
         raise ZeroDensity("Chang's bound needs a nonzero function")
     spec = wht(f)
     big = [s for s, v in spec.coeffs.items() if abs(v) >= eps_num]
-    span = span_dim(big)
+    span = gf2_rank(big)
     ratio = Fraction(f.ones_count(), eps_num)  # rho / eps, exactly
     bound = 2.0 * float(ratio) ** 2 * math.log(1.0 / float(rho))
     return ChangResult(span=span, bound=bound, holds=span < bound - 1e-12)

@@ -1,6 +1,7 @@
 """Command-line surface: golden bytes, schema conformance, exit codes."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -205,6 +206,17 @@ def test_rank_not_found_exit_1(capsys):
     )
     assert code == 1
     assert "codimension 1" in err
+
+
+def test_rank_candidate_budget_exit_1(capsys):
+    # the exhaustive search on this input runs for minutes without a budget
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "rank", "family:random_poly(n=10,d=3,seed=1)", "--max-candidates", "2000"
+    )
+    assert (code, out) == (1, "")
+    assert "candidate budget 2000 exhausted" in err
+    assert time.perf_counter() - start < 60
 
 
 def test_pdt_check_mismatch_exit_1(capsys, tmp_path):

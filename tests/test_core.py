@@ -149,6 +149,28 @@ def test_inverse_wht_roundtrip(f):
     assert np.array_equal(inverse_wht(wht(f)).table, f.table)
 
 
+def test_wht_single_numerator_at_n20():
+    # the int32 butterfly's largest sums: one character carrying all 2^20
+    n = 20
+    one = BooleanFunction(n, np.ones(1 << n, dtype=np.uint8))
+    assert wht(one).coeffs == {0: 1 << n}
+    assert to_pm_spectrum(wht(one)).coeffs == {0: -(1 << n)}
+    par = BooleanFunction(n, (np.bitwise_count(np.arange(1 << n)) & 1).astype(np.uint8))
+    full = (1 << n) - 1
+    assert wht(par).coeffs == {0: 1 << (n - 1), full: -(1 << (n - 1))}
+    assert to_pm_spectrum(wht(par)).coeffs == {full: 1 << n}
+
+
+def test_wht_roundtrip_and_parseval_n18():
+    n = 18
+    f = BooleanFunction(n, np.random.default_rng(18).integers(0, 2, 1 << n, dtype=np.uint8))
+    spec = wht(f)
+    assert all(type(v) is int for v in spec.coeffs.values())
+    assert inverse_wht(spec) == f
+    assert sum(v * v for v in spec.coeffs.values()) == (1 << n) * f.ones_count()
+    assert sum(v * v for v in to_pm_spectrum(spec).coeffs.values()) == 1 << (2 * n)
+
+
 def test_inverse_wht_rejects_first_bad_point():
     with pytest.raises(NotBoolean, match=r"value 3/8 at x=0 is not 0 or 1"):
         inverse_wht(Spectrum(3, 3, {0: 3}))

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,13 +13,16 @@ from boolfourier import (
     Certificate,
     ConstantInput,
     FamilySpec,
+    Gf2Matrix,
     InvalidTree,
+    LinearMap,
     NotFound,
     Pdt,
     PdtLeaf,
     PdtNode,
     Spectrum,
     TooLarge,
+    apply_linear,
     build_degree_reduce,
     build_greedy_l1,
     build_heavy_hitter,
@@ -42,6 +46,8 @@ from boolfourier import (
     wht,
 )
 
+from boolfourier import pdt as pdt_module
+from boolfourier._bits import mask_to_string
 from boolfourier.pdt import _heavy_direction
 
 from helpers import heavy_direction_oracle, parity, rank_oracle, x1_first_string
@@ -362,6 +368,59 @@ def test_norm_halving_valid_and_halves(f):
     assert certificate_check(f, cert)
     for s in steps:
         assert 2 * s.l1_after <= s.l1_before
+
+
+SPECTRAL_FROZEN = json.loads((Path(__file__).parent / "data" / "spectral_frozen.json").read_text())
+
+
+def _lifted(entry) -> BooleanFunction:
+    """random_poly on the first k coordinates, composed with the stored map."""
+    n, params = entry["n"], entry["params"]
+    inner = generate(FamilySpec("random_poly", params))
+    f = BooleanFunction(n, inner.table[np.arange(1 << n) & ((1 << params["n"]) - 1)])
+    return apply_linear(f, LinearMap(Gf2Matrix(entry["rows"], n)))
+
+
+def _plain_cert(cert: Certificate, n: int) -> dict:
+    return {
+        "constraints": [[mask_to_string(c.mask, n), c.bit] for c in cert.constraints],
+        "value": cert.value,
+    }
+
+
+@pytest.mark.parametrize("label", sorted(SPECTRAL_FROZEN))
+def test_spectral_outputs_frozen(label):
+    # sparse lifted inputs at n = 12..14; three of the four run the halving loop
+    entry = SPECTRAL_FROZEN[label]
+    f = _lifted(entry)
+    cert, steps = cert_norm_halving_with_trace(f)
+    plain_steps = [
+        [s.derivative_mask, s.chosen_branch, s.l1_before, list(s.l1_split), s.l1_after,
+         list(s.sub_codims)]
+        for s in steps
+    ]
+    assert {**_plain_cert(cert, f.n), "steps": plain_steps} == entry["norm_halving"]
+    assert _plain_cert(cert_greedy_l1(f), f.n) == entry["greedy_l1"]
+    tree, trace = build_span_query(f)
+    assert tree_to_dict(tree) == entry["span_query"]["tree"]
+    assert [[node.l0, node.l1_num] for node in trace.nodes] == entry["span_query"]["trace"]
+
+
+def test_one_transform_per_call(monkeypatch):
+    (f,) = [_lifted(e) for e in SPECTRAL_FROZEN.values() if e["n"] == 12]
+    assert deg2(f) == 3
+    calls = []
+    real_wht = pdt_module.wht
+    monkeypatch.setattr(pdt_module, "wht", lambda g: calls.append(g.n) or real_wht(g))
+    for build in (build_greedy_l1, build_heavy_hitter, build_span_query, cert_greedy_l1):
+        calls.clear()
+        build(f)
+        assert len(calls) == 1, build.__name__
+    calls.clear()
+    _, steps = cert_norm_halving_with_trace(f)
+    # the input's transform, then one per outer iteration for its derivative
+    assert len(steps) == 2
+    assert len(calls) == 1 + len(steps)
 
 
 @settings(max_examples=50, deadline=None)
