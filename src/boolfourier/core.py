@@ -220,18 +220,73 @@ class HypercontractivityResult:
     holds: bool
 
 
+def _butterfly_level(a: np.ndarray, h: int) -> None:
+    """One in-place Walsh-Hadamard level: (u, v) -> (u + v, u - v) at stride h.
+
+    Each output is a signed sum of two inputs, so the level at most doubles
+    the largest magnitude; callers pick a dtype that holds the doubled value.
+    """
+    b = a.reshape(-1, 2, h)
+    top = b[:, 0, :].copy()
+    b[:, 0, :] += b[:, 1, :]
+    np.subtract(top, b[:, 1, :], out=b[:, 1, :])
+
+
 def _butterfly_sum(table: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over a signed integer array."""
+    """Walsh-Hadamard butterfly over a copy of a signed integer array."""
     a = table.copy()
     h = 1
-    size = a.size
-    while h < size:
-        b = a.reshape(-1, 2, h)
-        top = b[:, 0, :].copy()
-        bot = b[:, 1, :].copy()
-        b[:, 0, :] = top + bot
-        b[:, 1, :] = top - bot
+    while h < a.size:
+        _butterfly_level(a, h)
         h <<= 1
+    return a
+
+
+def _byte_rows(kernel) -> np.ndarray:
+    """Apply a three-level table kernel to every byte: a 256 x 8 table.
+
+    Row b is ``kernel`` applied to the bits of b (bit i is entry i, as
+    ``np.packbits(..., bitorder="little")`` packs them).
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    for h in (1, 2, 4):
+        b = bits.reshape(256, -1, 2, h)
+        b[:, :, 0, :], b[:, :, 1, :] = kernel(b[:, :, 0, :], b[:, :, 1, :])
+    return bits
+
+
+# The first three butterfly levels of every byte of a packed table.  WHT rows
+# are character sums of 8 bits, |v| <= 2**3, so int8 holds them; each row is
+# viewed as one int64 word, which makes the gather a 1-D take.  Moebius rows
+# are 0/1 and pack back into one byte.
+_WHT_BYTE = _byte_rows(lambda u, v: (u + v, u - v)).astype(np.int8).view(np.int64).ravel()
+_MOBIUS_BYTE = np.packbits(
+    _byte_rows(lambda u, v: (u, u ^ v)).astype(np.uint8), axis=1, bitorder="little"
+).ravel()
+
+# Last stride h of each narrow pass of ``wht``: after the level at stride h
+# every value is a sum of 2h table bits, so |v| <= 2h.  int8 holds 2h <= 2**6
+# (h <= 32) and int16 holds 2h <= 2**14 (h <= 2**13); int32 takes the rest,
+# up to 2**n <= 2**N_MAX = 2**24 < 2**31.
+_WHT_PASSES = ((np.int8, 1 << 5), (np.int16, 1 << 13), (np.int32, 1 << N_MAX))
+
+
+def _wht_sums(table: np.ndarray) -> np.ndarray:
+    """Exact character sums of a 0/1 table of length 2**n, on narrow integers.
+
+    One gather from ``_WHT_BYTE`` does the first three levels of every byte
+    of the packed table; for n < 3 the zero padding of the byte does not
+    reach the first 2**n sums.  The remaining levels run in place, each on
+    the narrowest dtype of ``_WHT_PASSES`` that holds its result.
+    """
+    size = table.size
+    a = np.take(_WHT_BYTE, np.packbits(table, bitorder="little")).view(np.int8)[:size]
+    h = 8
+    for dtype, last in _WHT_PASSES:
+        a = a.astype(dtype, copy=False)
+        while h < size and h <= last:
+            _butterfly_level(a, h)
+            h <<= 1
     return a
 
 
@@ -240,12 +295,9 @@ def wht(f: BooleanFunction) -> Spectrum:
 
     Returned numerators are the exact character sums at denom_exp = n.
     """
-    # Every character sum has magnitude at most 2**n <= 2**N_MAX = 2**24 < 2**31,
-    # so int32 is exact; it halves the buffers against int64.
-    sums = _butterfly_sum(f.table.astype(np.int32))
-    nz = np.nonzero(sums)[0]
-    coeffs = {int(s): int(sums[s]) for s in nz}
-    return Spectrum(f.n, f.n, coeffs)
+    sums = _wht_sums(f.table)
+    nz = np.flatnonzero(sums != 0)
+    return Spectrum(f.n, f.n, dict(zip(nz.tolist(), sums[nz].tolist())))
 
 
 def inverse_wht(spectrum: Spectrum) -> BooleanFunction:
@@ -285,20 +337,27 @@ def to_pm_spectrum(spectrum: Spectrum) -> Spectrum:
 
 
 def _xor_butterfly(table: np.ndarray) -> np.ndarray:
-    a = table.copy()
+    """GF(2) Moebius transform of a 0/1 table of length 2**n, as uint8 0/1.
+
+    The table is packed 8 entries per byte; one gather from ``_MOBIUS_BYTE``
+    does the three levels inside each byte (for n < 3 the zero padding does
+    not reach the first 2**n entries), the remaining levels XOR whole bytes
+    in place, and the result is unpacked.
+    """
+    size = table.size
+    packed = _MOBIUS_BYTE[np.packbits(table, bitorder="little")]
     h = 1
-    size = a.size
-    while h < size:
-        b = a.reshape(-1, 2, h)
+    while h < packed.size:
+        b = packed.reshape(-1, 2, h)
         b[:, 1, :] ^= b[:, 0, :]
         h <<= 1
-    return a
+    return np.unpackbits(packed, bitorder="little")[:size]
 
 
 def anf_of(f: BooleanFunction) -> ANF:
     """GF(2) Moebius transform: monomial masks with coefficient 1."""
     coeff = _xor_butterfly(f.table)
-    return ANF(f.n, frozenset(int(m) for m in np.nonzero(coeff)[0]))
+    return ANF(f.n, frozenset(np.flatnonzero(coeff).tolist()))
 
 
 def anf_to_function(anf: ANF) -> BooleanFunction:
@@ -314,7 +373,8 @@ def anf_to_function(anf: ANF) -> BooleanFunction:
 
 def deg2(f: BooleanFunction) -> int:
     """GF(2) degree; 0 for constants."""
-    return anf_of(f).degree
+    monomials = np.flatnonzero(_xor_butterfly(f.table))
+    return int(np.bitwise_count(monomials).max()) if monomials.size else 0
 
 
 def spectral_stats(spectrum: Spectrum) -> SpectralStats:

@@ -496,19 +496,27 @@ def _span_basis(spectrum: Spectrum) -> List[int]:
     return basis
 
 
-def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
-    """Query a basis of the span of the support; depth is the span's dimension."""
-    spec01 = wht(f)
-    basis = _span_basis(spec01)
-    d = len(basis)
-    if d > 20:
-        raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
-    trace = BuildTrace(n=f.n, denom_exp=f.n)
+def _query_span(
+    trace: BuildTrace,
+    spec: Spectrum,
+    frame: _Frame,
+    basis: List[int],
+    parent: Optional[int],
+    branch,
+    info: dict,
+) -> PdtNodeOrLeaf:
+    """Query the original masks ``basis`` in order, below ``frame``.
+
+    ``spec`` is a +/-1 spectrum in the frame's coordinates whose support spans
+    the same space as ``basis``; each mask is pulled back through the frame of
+    its level and the spectrum folded along it, so it is constant after the
+    last one.  Every trace node gets ``info``.
+    """
 
     def rec(spec: Spectrum, frame: _Frame, level: int, parent, branch) -> PdtNodeOrLeaf:
         l0, l1 = spec.l0(), spec.l1_num()
-        if level == d:
-            trace.add(parent_id=parent, branch=branch, mask=None, l0=l0, l1_num=l1)
+        if level == len(basis):
+            trace.add(parent_id=parent, branch=branch, mask=None, l0=l0, l1_num=l1, info=info)
             return PdtLeaf(_leaf_bit(spec))
         q = basis[level]
         t = frame.pullback(q)
@@ -516,7 +524,7 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
             raise BoolFourierError("internal: span basis collapsed under folding")
         offset = dot(q, frame.shift)
         node_id = trace.add(
-            parent_id=parent, branch=branch, mask=q, l0=l0, l1_num=l1
+            parent_id=parent, branch=branch, mask=q, l0=l0, l1_num=l1, info=info
         )
         children = {}
         for beta in (0, 1):
@@ -526,7 +534,20 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
             )
         return PdtNode(q, children[0], children[1])
 
-    root = rec(to_pm_spectrum(spec01), _Frame.identity(f.n), 0, None, None)
+    return rec(spec, frame, 0, parent, branch)
+
+
+def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
+    """Query a basis of the span of the support; depth is the span's dimension."""
+    spec01 = wht(f)
+    basis = _span_basis(spec01)
+    d = len(basis)
+    if d > 20:
+        raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
+    trace = BuildTrace(n=f.n, denom_exp=f.n)
+    root = _query_span(
+        trace, to_pm_spectrum(spec01), _Frame.identity(f.n), basis, None, None, {}
+    )
     return Pdt(f.n, root), trace
 
 
@@ -754,50 +775,15 @@ def build_degree_reduce(
         g: BooleanFunction, frame: _Frame, parent, branch, round_no: int
     ) -> PdtNodeOrLeaf:
         spec01 = wht(g)
+        # The span basis is in g's coordinates; _query_span takes original masks.
+        basis = [frame.query_mask(t) for t in _span_basis(spec01)]
         spec = to_pm_spectrum(spec01)
-        basis = _span_basis(spec01)
-
-        def rec(spec_pm: Spectrum, fr: _Frame, level: int, parent, branch):
-            l0 = spec_pm.l0()
-            l1 = spec_pm.l1_num()
-            if level == len(basis):
-                trace.add(
-                    parent_id=parent,
-                    branch=branch,
-                    mask=None,
-                    l0=l0,
-                    l1_num=l1,
-                    info={"fallback": True, "round": round_no},
-                )
-                return PdtLeaf(_leaf_bit(spec_pm))
-            t_local = basis[level]
-            q = fr.query_mask(t_local)
-            offset = dot(q, fr.shift)
-            node_id = trace.add(
-                parent_id=parent,
-                branch=branch,
-                mask=q,
-                l0=l0,
-                l1_num=l1,
-                info={"fallback": True, "round": round_no},
-            )
-            children = {}
-            for beta in (0, 1):
-                b = beta ^ offset
-                children[beta] = rec(
-                    fold(spec_pm, t_local, b),
-                    fr.restricted(t_local, b),
-                    level + 1,
-                    node_id,
-                    beta,
-                )
-            return PdtNode(q, children[0], children[1])
-
         # Rescale so trace l1 numerators sit over the root denominator.
         scaled = Spectrum(
             spec.n, f.n, {m: v << (f.n - g.n) for m, v in spec.coeffs.items()}
         )
-        return rec(scaled, frame, 0, parent, branch)
+        info = {"fallback": True, "round": round_no}
+        return _query_span(trace, scaled, frame, basis, parent, branch, info)
 
     def rec_round(
         g: BooleanFunction,

@@ -25,7 +25,12 @@ from boolfourier import (
     wht,
     xor_convolve,
 )
-from boolfourier.core import _convolve_butterfly, _convolve_pairs
+from boolfourier.core import (
+    _butterfly_sum,
+    _convolve_butterfly,
+    _convolve_pairs,
+    _xor_butterfly,
+)
 
 from helpers import anf_oracle, deg_oracle, pm_spectrum_oracle, wht_oracle
 
@@ -150,7 +155,7 @@ def test_inverse_wht_roundtrip(f):
 
 
 def test_wht_single_numerator_at_n20():
-    # the int32 butterfly's largest sums: one character carrying all 2^20
+    # the int32 pass's largest sums: one character carrying all 2^20
     n = 20
     one = BooleanFunction(n, np.ones(1 << n, dtype=np.uint8))
     assert wht(one).coeffs == {0: 1 << n}
@@ -159,6 +164,9 @@ def test_wht_single_numerator_at_n20():
     full = (1 << n) - 1
     assert wht(par).coeffs == {0: 1 << (n - 1), full: -(1 << (n - 1))}
     assert to_pm_spectrum(wht(par)).coeffs == {full: 1 << n}
+    assert anf_of(one).monomials == frozenset({0})
+    assert anf_of(par).monomials == frozenset(1 << i for i in range(n))
+    assert (deg2(one), deg2(par)) == (0, 1)
 
 
 def test_wht_roundtrip_and_parseval_n18():
@@ -169,6 +177,54 @@ def test_wht_roundtrip_and_parseval_n18():
     assert inverse_wht(spec) == f
     assert sum(v * v for v in spec.coeffs.values()) == (1 << n) * f.ones_count()
     assert sum(v * v for v in to_pm_spectrum(spec).coeffs.values()) == 1 << (2 * n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_packed_kernels_match_oracles(n):
+    # n < 3 leaves zero padding in the packed byte; n >= 3 runs every pass.
+    table = np.random.default_rng(700 + n).integers(0, 2, 1 << n, dtype=np.uint8)
+    f = BooleanFunction(n, table)
+    assert wht(f).coeffs == wht_oracle(table.tolist())
+    assert anf_of(f).monomials == frozenset(anf_oracle(table.tolist()))
+    assert deg2(f) == deg_oracle(table.tolist())
+    assert anf_to_function(anf_of(f)) == f
+
+
+def _unpacked_moebius(table):
+    a = table.copy()
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        b[:, 1, :] ^= b[:, 0, :]
+        h <<= 1
+    return a
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_packed_kernels_match_wide_butterflies(n):
+    table = np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8)
+    sums = _butterfly_sum(table.astype(np.int64))
+    nz = np.flatnonzero(sums)
+    assert wht(BooleanFunction(n, table)).coeffs == dict(zip(nz.tolist(), sums[nz].tolist()))
+    assert np.array_equal(_xor_butterfly(table), _unpacked_moebius(table))
+
+
+@pytest.mark.parametrize("n", [6, 7, 14, 15])
+def test_packed_kernels_dtype_boundaries(n):
+    # The sum at s = 0 reaches 2^n: the largest value of the int8 pass
+    # (n = 6), just past it (n = 7), the largest of the int16 pass (n = 14)
+    # and just past it (n = 15).  n = 20 is test_wht_single_numerator_at_n20.
+    size = 1 << n
+    full = size - 1
+    one = BooleanFunction(n, np.ones(size, dtype=np.uint8))
+    par = BooleanFunction(n, (np.bitwise_count(np.arange(size)) & 1).astype(np.uint8))
+    half = 1 << (n - 1)
+    assert wht(one).coeffs == {0: size}
+    assert wht(par).coeffs == {0: half, full: -half}
+    assert to_pm_spectrum(wht(par)).coeffs == {full: size}
+    assert anf_of(one).monomials == frozenset({0})
+    assert anf_of(par).monomials == frozenset(1 << i for i in range(n))
+    assert (deg2(one), deg2(par)) == (0, 1)
 
 
 def test_inverse_wht_rejects_first_bad_point():

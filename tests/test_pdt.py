@@ -160,6 +160,27 @@ def test_degree_reduce_tree_and2_frozen():
     assert not any(node.info.get("fallback") for node in trace.nodes)
 
 
+def test_degree_reduce_span_fallback_tiny_budget():
+    # A five-candidate budget sends these builds down the span-query
+    # fallback below the root, where the span basis must be pulled back
+    # through each level's frame (it used to raise DimensionMismatch).
+    for n in range(5, 8):
+        for seed in range(1, 40):
+            f = generate(FamilySpec("random_poly", {"n": n, "d": 3, "seed": seed}))
+            tree, trace = build_degree_reduce(f, max_candidates=5)
+            assert pdt_check(f, tree).correct, (n, seed)
+            fallback = [node for node in trace.nodes if node.info.get("fallback")]
+            assert fallback, (n, seed)
+            # one annotation dict per fallback subtree, shared by its nodes
+            tops = [
+                node
+                for node in fallback
+                if node.parent_id is None
+                or not trace.nodes[node.parent_id].info.get("fallback")
+            ]
+            assert len({id(node.info) for node in fallback}) == len(tops)
+
+
 def test_builders_ip4_shapes():
     depths = [b(IP4)[0].depth() for b in BUILDERS]
     assert depths == [3, 3, 4, 3]
