@@ -597,7 +597,7 @@ def _rref_bases(n: int, k: int) -> Iterator[Tuple[int, ...]]:
 
 
 class _DegreeDropChecker:
-    """Fast exact test for deg2(f restricted to an affine subspace) < deg2(f).
+    """Fast exact test for deg2(f restricted to a linear subspace) < deg2(f).
 
     The restricted table is packed into a single int and the GF(2) Moebius
     transform runs word-parallel; the degree drops exactly when no monomial
@@ -605,7 +605,6 @@ class _DegreeDropChecker:
     """
 
     def __init__(self, f: BooleanFunction):
-        self.f = f
         self.n = f.n
         self.degree = deg2(f)
         self.table = f.table
@@ -626,14 +625,13 @@ class _DegreeDropChecker:
         return masks
 
     def _weight_mask(self, m: int) -> int:
-        key = m
-        mask = self._weight_masks.get(key)
+        mask = self._weight_masks.get(m)
         if mask is None:
             mask = 0
             for x in range(1 << m):
                 if x.bit_count() >= self.degree:
                     mask |= 1 << x
-            self._weight_masks[key] = mask
+            self._weight_masks[m] = mask
         return mask
 
     def subspace_points(self, basis_masks: Sequence[int]) -> np.ndarray:
@@ -652,21 +650,9 @@ class _DegreeDropChecker:
             pts = np.concatenate([pts, pts ^ np.int64(v)])
         return pts
 
-    def shift_points(self, basis_masks: Sequence[int]) -> List[int]:
-        """Points a_j with <t_i, a_j> = delta_ij, for composing coset shifts."""
-        k = len(basis_masks)
-        out = []
-        for j in range(k):
-            rhs = [1 if i == j else 0 for i in range(k)]
-            a = solve_linear_system(basis_masks, rhs, self.n)
-            if a is None:
-                raise BoolFourierError("internal: dual point solve failed")
-            out.append(a)
-        return out
-
-    def drops_on(self, pts: np.ndarray, shift: int) -> bool:
+    def drops_on(self, pts: np.ndarray) -> bool:
         m = int(pts.size).bit_length() - 1
-        bits = self.table[pts ^ np.int64(shift)]
+        bits = self.table[pts]
         packed = np.packbits(bits, bitorder="little").tobytes()
         t = int.from_bytes(packed, "little")
         for i, mask in enumerate(self._mobius_masks(m)):
@@ -674,19 +660,22 @@ class _DegreeDropChecker:
         return (t & self._weight_mask(m)) == 0
 
 
-def rank_exact(
-    f: BooleanFunction, max_codim: int = 4, max_candidates: Optional[int] = None
-) -> RankResult:
-    """Least codimension of an affine subspace where the GF(2) degree drops.
+def _first_drop(
+    f: BooleanFunction, max_codim: int, max_candidates: Optional[int]
+) -> Tuple[int, ...]:
+    """First constraint basis whose subspace drops the GF(2) degree of f.
 
-    Exhaustive search over constraint subspaces in increasing codimension;
-    subspaces are enumerated once each via canonical reduced-echelon bases in
-    ascending tuple order, and coset shifts in ascending binary order.
-    Raises NotFound when no drop exists within max_codim (or the optional
-    candidate budget is exhausted).
+    Let d = deg2(f) and f_d the degree-d part of f.  On a coset a + V, the
+    degree-d part of f restricted to the coset is the degree-d part of f_d
+    composed with V's linear embedding, which does not depend on a.  So the
+    degree drops on one coset of V exactly when it drops on every coset, and
+    each candidate is tested on the coset through 0 only.
+
+    Candidates are the canonical reduced-echelon bases of ``_rref_bases``, in
+    increasing codimension and ascending tuple order.  Raises NotFound when
+    the candidate budget (None: unbounded) runs out or no drop exists within
+    max_codim.
     """
-    if f.is_constant():
-        raise ConstantInput("rank is undefined for constant functions")
     if f.n > _SEARCH_N_LIMIT:
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
     checker = _DegreeDropChecker(f)
@@ -698,20 +687,26 @@ def rank_exact(
                     f"candidate budget {max_candidates} exhausted at codim {k}"
                 )
             examined += 1
-            pts = checker.subspace_points(basis_masks)
-            duals = checker.shift_points(basis_masks)
-            for bits in range(1 << k):
-                shift = 0
-                for j in range(k):
-                    if (bits >> j) & 1:
-                        shift ^= duals[j]
-                if checker.drops_on(pts, shift):
-                    witness = tuple(
-                        AffineConstraint(t, (bits >> j) & 1)
-                        for j, t in enumerate(basis_masks)
-                    )
-                    return RankResult(rank=k, witness=witness)
+            if checker.drops_on(checker.subspace_points(basis_masks)):
+                return basis_masks
     raise NotFound(f"no degree drop within codimension {max_codim}")
+
+
+def rank_exact(
+    f: BooleanFunction, max_codim: int = 4, max_candidates: Optional[int] = None
+) -> RankResult:
+    """Least codimension of an affine subspace where the GF(2) degree drops.
+
+    The witness is the first basis of ``_first_drop`` with every constraint
+    bit 0: if the degree drops on some coset it drops on the one through 0.
+    Raises NotFound when no drop exists within max_codim (or the optional
+    candidate budget is exhausted).
+    """
+    if f.is_constant():
+        raise ConstantInput("rank is undefined for constant functions")
+    basis_masks = _first_drop(f, max_codim, max_candidates)
+    witness = tuple(AffineConstraint(t, 0) for t in basis_masks)
+    return RankResult(rank=len(basis_masks), witness=witness)
 
 
 def degree_reducing_subspace(
@@ -719,36 +714,14 @@ def degree_reducing_subspace(
     max_codim: int = 4,
     max_candidates: int = DEGREE_SEARCH_BUDGET,
 ) -> List[int]:
-    """Minimal independent constraint set dropping the degree on ALL cosets.
+    """Minimal independent constraint set dropping the degree on every coset.
 
-    Same enumeration order as rank_exact; raises NotFound on budget
-    exhaustion or when no subspace within max_codim works.
+    The masks of ``rank_exact``'s witness (see ``_first_drop``); raises
+    NotFound on budget exhaustion or when no subspace within max_codim works.
     """
     if f.is_constant():
         raise ConstantInput("constant functions have no degree to reduce")
-    if f.n > _SEARCH_N_LIMIT:
-        raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
-    checker = _DegreeDropChecker(f)
-    examined = 0
-    for k in range(1, min(max_codim, f.n) + 1):
-        for basis_masks in _rref_bases(f.n, k):
-            if examined >= max_candidates:
-                raise NotFound(f"candidate budget {max_candidates} exhausted")
-            examined += 1
-            pts = checker.subspace_points(basis_masks)
-            duals = checker.shift_points(basis_masks)
-            ok = True
-            for bits in range(1 << k):
-                shift = 0
-                for j in range(k):
-                    if (bits >> j) & 1:
-                        shift ^= duals[j]
-                if not checker.drops_on(pts, shift):
-                    ok = False
-                    break
-            if ok:
-                return list(basis_masks)
-    raise NotFound(f"no all-coset degree drop within codimension {max_codim}")
+    return list(_first_drop(f, max_codim, max_candidates))
 
 
 def build_degree_reduce(
@@ -793,35 +766,33 @@ def build_degree_reduce(
         parent,
         branch,
     ) -> PdtNodeOrLeaf:
-        l0, l1 = node_stats(g)
-        if not pending:
-            if deg2(g) == 0:
-                trace.add(
-                    parent_id=parent,
-                    branch=branch,
-                    mask=None,
-                    l0=l0,
-                    l1_num=l1,
-                    info={"round": round_no},
-                )
-                return PdtLeaf(int(g.table[0]))
-            try:
-                if g.n > _SEARCH_N_LIMIT:
-                    raise NotFound(f"n={g.n} beyond search limit")
-                subspace = degree_reducing_subspace(g, max_codim, max_candidates)
-            except NotFound:
-                return span_tail(g, frame, parent, branch, round_no + 1)
-            queries = [frame.query_mask(t) for t in subspace]
-            return descend(
-                g,
-                frame,
-                queries,
-                round_no + 1,
-                len(subspace),
-                parent,
-                branch,
+        if pending:
+            return descend(g, frame, pending, round_no, None, parent, branch)
+        if deg2(g) == 0:
+            l0, l1 = node_stats(g)
+            trace.add(
+                parent_id=parent,
+                branch=branch,
+                mask=None,
+                l0=l0,
+                l1_num=l1,
+                info={"round": round_no},
             )
-        return descend(g, frame, pending, round_no, None, parent, branch)
+            return PdtLeaf(int(g.table[0]))
+        try:
+            subspace = degree_reducing_subspace(g, max_codim, max_candidates)
+        except (NotFound, TooLarge):
+            return span_tail(g, frame, parent, branch, round_no + 1)
+        queries = [frame.query_mask(t) for t in subspace]
+        return descend(
+            g,
+            frame,
+            queries,
+            round_no + 1,
+            len(subspace),
+            parent,
+            branch,
+        )
 
     def descend(
         g: BooleanFunction,

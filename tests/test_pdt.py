@@ -1,5 +1,6 @@
 """Tree builders, certificates, exact rank and the signed decomposition."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -50,7 +51,15 @@ from boolfourier import pdt as pdt_module
 from boolfourier._bits import mask_to_string
 from boolfourier.pdt import _heavy_direction
 
-from helpers import heavy_direction_oracle, parity, rank_oracle, x1_first_string
+from helpers import (
+    _independent,
+    deg_oracle,
+    heavy_direction_oracle,
+    parity,
+    rank_oracle,
+    subspace_table,
+    x1_first_string,
+)
 
 AND2 = BooleanFunction(2, [0, 0, 0, 1])
 IP4 = generate(FamilySpec("bent_ip", {"k": 4}))
@@ -263,6 +272,29 @@ def test_rank_matches_bruteforce_oracle(f):
     # witness really drops the degree
     g = restrict_affine(f, list(got.witness))
     assert deg2(g) < deg2(f)
+    # the search tests the coset through 0 only (test_degree_drop_is_shift_free)
+    assert all(c.bit == 0 for c in got.witness)
+    assert [c.mask for c in got.witness] == degree_reducing_subspace(f, max_codim=f.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_degree_drop_is_shift_free(data):
+    # The lemma rank_exact and degree_reducing_subspace rest on: the degree
+    # drops on one coset of a subspace exactly when it drops on every coset.
+    n = data.draw(st.integers(1, 6))
+    table = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    k = data.draw(st.integers(1, n))
+    masks = data.draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k, unique=True)
+    )
+    assume(_independent(masks))
+    d = deg_oracle(table)
+    drops = [
+        deg_oracle(subspace_table(table, list(zip(masks, bits)))) < d
+        for bits in itertools.product((0, 1), repeat=k)
+    ]
+    assert drops == [drops[0]] * len(drops)
 
 
 def test_rank_witness_order_is_ascending_tuple():
@@ -280,9 +312,15 @@ def test_rank_errors():
         rank_exact(BooleanFunction.from_int(13, 1), max_codim=1)
 
 
-def test_rank_candidate_budget():
-    with pytest.raises(NotFound):
-        rank_exact(IP4, max_codim=2, max_candidates=1)
+@pytest.mark.parametrize("search", [rank_exact, degree_reducing_subspace])
+def test_rank_candidate_budget(search):
+    with pytest.raises(NotFound, match="candidate budget 1 exhausted at codim 1"):
+        search(IP4, max_codim=2, max_candidates=1)
+    # IP4 has 15 codim-1 candidates, none of which drops its degree
+    with pytest.raises(NotFound, match="candidate budget 16 exhausted at codim 2"):
+        search(IP4, max_codim=2, max_candidates=16)
+    with pytest.raises(NotFound, match="no degree drop within codimension 1"):
+        search(IP4, max_codim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +338,6 @@ def test_degree_reducing_subspace_all_cosets(f):
     assume(deg2(f) >= 1)
     masks = degree_reducing_subspace(f)
     d = deg2(f)
-    import itertools
-
     for bits in itertools.product((0, 1), repeat=len(masks)):
         g = restrict_affine(
             f, [AffineConstraint(m, b) for m, b in zip(masks, bits)]
@@ -319,6 +355,36 @@ def test_degree_reduce_round_structure(f):
         node.info["round"] for node in trace.nodes if "round_queries" in node.info
     ]
     assert len(set(rounds)) <= deg2(f)
+
+
+DEGREE_SEARCH_FROZEN = json.loads(
+    (Path(__file__).parent / "data" / "degree_search_frozen.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE_SEARCH_FROZEN))
+def test_degree_search_frozen(label):
+    # random_poly at n = 5..8 with the default searches, and one build whose
+    # five-candidate budget sends subtrees below the root to the fallback
+    entry = DEGREE_SEARCH_FROZEN[label]
+    f = generate(FamilySpec("random_poly", entry["params"]))
+    n, budget = f.n, entry["max_candidates"]
+    if budget is None:
+        result = rank_exact(f)
+        witness = [[mask_to_string(c.mask, n), c.bit] for c in result.witness]
+        assert [result.rank, witness] == entry["rank"]
+        subspace = degree_reducing_subspace(f)
+        assert [mask_to_string(m, n) for m in subspace] == entry["subspace"]
+        tree, trace = build_degree_reduce(f)
+    else:
+        tree, trace = build_degree_reduce(f, max_candidates=budget)
+    assert tree_to_dict(tree) == entry["tree"]
+    plain_trace = [
+        [node.parent_id, node.branch, None if node.mask is None else mask_to_string(node.mask, n),
+         node.l0, node.l1_num, node.info]
+        for node in trace.nodes
+    ]
+    assert plain_trace == entry["trace"]
 
 
 # ---------------------------------------------------------------------------
