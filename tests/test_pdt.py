@@ -612,3 +612,16 @@ def test_dot_output_frozen():
 def test_rank_too_large_guard():
     with pytest.raises(TooLarge):
         rank_exact(BooleanFunction.from_int(13, 3), max_codim=1)
+
+
+def test_degree_reduce_beyond_search_limit():
+    # x1*x2 on n = 13: the search refuses n > 12 with TooLarge, so the
+    # builder answers with the span-query fallback from the root
+    n = 13
+    f = BooleanFunction(n, ((np.arange(1 << n) & 3) == 3).astype(np.uint8))
+    with pytest.raises(TooLarge):
+        degree_reducing_subspace(f)
+    tree, trace = build_degree_reduce(f)
+    assert pdt_check(f, tree).correct
+    assert tree.depth() == 2
+    assert all(node.info.get("fallback") for node in trace.nodes)
