@@ -7,6 +7,8 @@ so the least-significant bit prints first.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "highest_set_bit",
     "delete_bit",
     "popcounts",
+    "span_points",
 ]
 
 
@@ -70,3 +73,19 @@ def delete_bit(mask: int, pos: int) -> int:
 def popcounts(n: int) -> np.ndarray:
     """Popcount of every mask below 2**n as a small-int array."""
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+
+
+def span_points(vectors: Sequence[int], shift: int = 0) -> np.ndarray:
+    """Every point of the coset ``shift + span(vectors)``, indexed by subset.
+
+    Entry i is ``shift`` XOR the vectors[j] over the set bits j of i.  The
+    array is filled by doubling: the entries below 2**j, XORed with
+    vectors[j], give the entries from 2**j to 2**(j+1), so one pass per
+    vector writes each of the 2**k entries once, with no other array.
+    """
+    pts = np.empty(1 << len(vectors), dtype=np.intp)
+    pts[0] = shift
+    for j, v in enumerate(vectors):
+        half = 1 << j
+        np.bitwise_xor(pts[:half], np.intp(v), out=pts[half : 2 * half])
+    return pts

@@ -145,6 +145,15 @@ class Spectrum:
         self.denom_exp = denom_exp
         self.coeffs = clean
 
+    @classmethod
+    def _from_clean(cls, n: int, denom_exp: int, coeffs: Dict[int, int]) -> "Spectrum":
+        """Wrap a dict of int masks below 2**n and nonzero ints, unchecked."""
+        spec = cls.__new__(cls)
+        spec.n = n
+        spec.denom_exp = denom_exp
+        spec.coeffs = coeffs
+        return spec
+
     def l0(self) -> int:
         return len(self.coeffs)
 
@@ -297,7 +306,7 @@ def wht(f: BooleanFunction) -> Spectrum:
     """
     sums = _wht_sums(f.table)
     nz = np.flatnonzero(sums != 0)
-    return Spectrum(f.n, f.n, dict(zip(nz.tolist(), sums[nz].tolist())))
+    return Spectrum._from_clean(f.n, f.n, dict(zip(nz.tolist(), sums[nz].tolist())))
 
 
 def inverse_wht(spectrum: Spectrum) -> BooleanFunction:
@@ -472,7 +481,13 @@ def hypercontractivity_check(
     """
     if not 0.0 < eta <= 1.0:
         raise InvalidEta(f"eta must be in (0, 1], got {eta}")
-    spec = wht(f)
+    return _hypercontractivity(wht(f), f.ones_count(), eta, pm)
+
+
+def _hypercontractivity(
+    spec: Spectrum, ones: int, eta: float, pm: bool = False
+) -> HypercontractivityResult:
+    """``hypercontractivity_check`` from the {0,1} spectrum of f and its ones count."""
     if pm:
         spec = to_pm_spectrum(spec)
     unit = float(1 << spec.denom_exp)
@@ -484,6 +499,6 @@ def hypercontractivity_check(
     if pm:
         rhs = 1.0
     else:
-        rho = f.ones_count() / (1 << f.n)
+        rho = ones / (1 << spec.n)
         rhs = rho ** (1.0 / q)
     return HypercontractivityResult(eta, lhs, rhs, lhs <= rhs + 1e-9)

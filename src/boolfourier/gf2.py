@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
-from ._bits import lowest_set_bit
+from ._bits import lowest_set_bit, span_points
 from .errors import DependentInput, DimensionMismatch
 
 __all__ = [
@@ -179,13 +177,12 @@ def apply_linear(f, linear_map: LinearMap):
 
     if linear_map.n != f.n:
         raise DimensionMismatch(f"map on {linear_map.n} variables, f on {f.n}")
-    n = f.n
-    xs = np.arange(1 << n, dtype=np.int64)
-    ys = np.zeros(1 << n, dtype=np.int64)
-    for i, row in enumerate(linear_map.forward.rows):
-        bits = np.bitwise_count(np.bitwise_and(xs, np.int64(row))) & 1
-        ys |= bits.astype(np.int64) << i
-    return BooleanFunction(n, f.table[ys])
+    # L x is the XOR of the columns L e_j over the set bits j of x.
+    rows = linear_map.forward.rows
+    columns = [
+        sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(f.n)
+    ]
+    return BooleanFunction(f.n, f.table[span_points(columns)])
 
 
 def solve_linear_system(rows: Sequence[int], rhs: Sequence[int], n: int) -> Optional[int]:

@@ -25,6 +25,7 @@ from ._bits import (
     lex_key,
     lowest_set_bit,
     mask_to_string,
+    span_points,
     string_to_mask,
 )
 from .core import (
@@ -645,10 +646,7 @@ class _DegreeDropChecker:
                 if (r >> q) & 1:
                     v |= 1 << p
             kernel.append(v)
-        pts = np.zeros(1, dtype=np.int64)
-        for v in kernel:
-            pts = np.concatenate([pts, pts ^ np.int64(v)])
-        return pts
+        return span_points(kernel)
 
     def drops_on(self, pts: np.ndarray) -> bool:
         m = int(pts.size).bit_length() - 1
@@ -769,13 +767,14 @@ def build_degree_reduce(
         if pending:
             return descend(g, frame, pending, round_no, None, parent, branch)
         if deg2(g) == 0:
-            l0, l1 = node_stats(g)
+            # A constant's +/-1 spectrum is {0: +/-2^g.n}: l0 = 1, and its l1
+            # numerator over the root denominator is 2^f.n.
             trace.add(
                 parent_id=parent,
                 branch=branch,
                 mask=None,
-                l0=l0,
-                l1_num=l1,
+                l0=1,
+                l1_num=1 << f.n,
                 info={"round": round_no},
             )
             return PdtLeaf(int(g.table[0]))

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import delete_bit, dot, highest_set_bit, lowest_set_bit
+from ._bits import delete_bit, dot, highest_set_bit, lowest_set_bit, span_points
 from .core import BooleanFunction, Spectrum
 from .errors import (
     DependentConstraints,
@@ -117,10 +117,7 @@ def fold(spectrum: Spectrum, t: int, b: int) -> Spectrum:
 def _restrict_once(f: BooleanFunction, t: int, b: int) -> BooleanFunction:
     """Truth table of f on <t, x> = b in the fold's quotient coordinates."""
     basis, eh = hyperplane_basis(f.n, t)
-    pts = np.array([b * eh], dtype=np.int64)
-    for w in basis:
-        pts = np.concatenate([pts, pts ^ np.int64(w)])
-    return BooleanFunction(f.n - 1, f.table[pts])
+    return BooleanFunction(f.n - 1, f.table[span_points(basis, b * eh)])
 
 
 def _translate_constraint(t: int, b: int, t1: int, b1: int) -> Tuple[int, int]:

@@ -17,8 +17,8 @@ from typing import List, Tuple
 from .core import (
     BooleanFunction,
     Spectrum,
+    _hypercontractivity,
     deg2,
-    hypercontractivity_check,
     pointwise_product,
     spectral_stats,
     to_pm_spectrum,
@@ -194,13 +194,12 @@ def invariant_report(f: BooleanFunction) -> InvariantReport:
         lm = _seeded_linear_map(n, seed=7)
         g = apply_linear(f, lm)
         gspec = wht(g)
-        inv_ok = (
-            gspec.l0() == l0 and gspec.l1_num() == l1 and deg2(g) == d
-        )
+        dg = deg2(g)
+        inv_ok = gspec.l0() == l0 and gspec.l1_num() == l1 and dg == d
         checks.append(
             CheckRecord(
                 "linear_map_invariance",
-                (gspec.l0(), gspec.l1_num(), deg2(g)),
+                (gspec.l0(), gspec.l1_num(), dg),
                 (l0, l1, d),
                 inv_ok,
             )
@@ -213,12 +212,12 @@ def invariant_report(f: BooleanFunction) -> InvariantReport:
         checks.append(CheckRecord("chang_span", None, None, True))
     else:
         eps = min(abs(v) for v in spec.coeffs.values())
-        res = chang_check(f, eps)
+        res = _chang(spec, ones, eps)
         checks.append(CheckRecord("chang_span", res.span, res.bound, res.holds))
 
     # Bonami-Beckner spot checks on the 0/1 function
     for eta in (0.25, 0.5, 0.75, 1.0):
-        res = hypercontractivity_check(f, eta)
+        res = _hypercontractivity(spec, ones, eta)
         checks.append(
             CheckRecord(f"hypercontractivity_{eta}", res.lhs, res.rhs, res.holds)
         )
@@ -245,13 +244,18 @@ def chang_check(f: BooleanFunction, eps_num: int) -> ChangResult:
     """
     if eps_num <= 0:
         raise InvalidSpec(f"eps numerator must be positive, got {eps_num}")
-    rho = Fraction(f.ones_count(), 1 << f.n)
-    if rho == 0:
+    ones = f.ones_count()
+    if ones == 0:
         raise ZeroDensity("Chang's bound needs a nonzero function")
-    spec = wht(f)
+    return _chang(wht(f), ones, eps_num)
+
+
+def _chang(spec: Spectrum, ones: int, eps_num: int) -> ChangResult:
+    """``chang_check`` from the {0,1} spectrum of a nonzero f and its ones count."""
+    rho = Fraction(ones, 1 << spec.n)
     big = [s for s, v in spec.coeffs.items() if abs(v) >= eps_num]
     span = gf2_rank(big)
-    ratio = Fraction(f.ones_count(), eps_num)  # rho / eps, exactly
+    ratio = Fraction(ones, eps_num)  # rho / eps, exactly
     bound = 2.0 * float(ratio) ** 2 * math.log(1.0 / float(rho))
     return ChangResult(span=span, bound=bound, holds=span < bound - 1e-12)
 

@@ -1,5 +1,8 @@
 """GF(2) linear algebra: ranks, inversion, substitution, Dickson form."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +22,7 @@ from boolfourier import (
     gf2_rank,
     wht,
 )
+from boolfourier._bits import dot, span_points
 from boolfourier.gf2 import dickson_matrix, echelon_pivots, solve_linear_system
 
 from helpers import _independent, parity
@@ -136,6 +140,58 @@ def test_apply_linear_identity():
     f = generate(FamilySpec("majority", {"n": 3}))
     ident = LinearMap(Gf2Matrix([1, 2, 4], 3))
     assert np.array_equal(apply_linear(f, ident).table, f.table)
+
+
+def _random_map(rng: random.Random, n: int) -> LinearMap:
+    while True:
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+        if gf2_rank(rows) == n:
+            return LinearMap(Gf2Matrix(rows, n))
+
+
+def _image(lm: LinearMap, x: int) -> int:
+    """L x bit by bit: bit i is <row i, x>."""
+    return sum(dot(row, x) << i for i, row in enumerate(lm.forward.rows))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_linear_pointwise(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        f = BooleanFunction.from_int(n, rng.getrandbits(1 << n))
+        lm = _random_map(rng, n)
+        g = apply_linear(f, lm)
+        assert all(g.value(x) == f.value(_image(lm, x)) for x in range(1 << n))
+
+
+def test_apply_linear_pointwise_n20():
+    rng = random.Random(20)
+    n = 20
+    f = BooleanFunction.from_int(n, rng.getrandbits(1 << n))
+    lm = _random_map(rng, n)
+    g = apply_linear(f, lm)
+    for _ in range(1000):
+        x = rng.randrange(1 << n)
+        assert g.value(x) == f.value(_image(lm, x))
+
+
+@pytest.mark.parametrize(
+    "vectors,shift",
+    [([], 0), ([], 5), ([1], 0), ([3, 5, 8], 0), ([3, 5, 8], 6), ([6, 6], 1), ([1, 2, 4, 8], 9)],
+)
+def test_span_points_match_enumeration(vectors, shift):
+    expected = []
+    for bits in itertools.product((0, 1), repeat=len(vectors)):
+        # bits[j] picks vectors[j] and is bit j of the point's index
+        idx = sum(b << j for j, b in enumerate(bits))
+        pt = shift
+        for b, v in zip(bits, vectors):
+            if b:
+                pt ^= v
+        expected.append((idx, pt))
+    pts = span_points(vectors, shift)
+    assert pts.dtype == np.intp
+    assert pts.tolist() == [pt for _, pt in sorted(expected)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cross-cutting invariant reports, the Chang span check, depth bounds."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,10 @@ from boolfourier import (
     bound_B_leading,
     chang_check,
     generate,
+    hypercontractivity_check,
     invariant_report,
 )
+from boolfourier import core
 
 EXPECTED_CHECKS = [
     "parseval",
@@ -57,6 +60,35 @@ def test_invariant_report_overall(f):
     assert rep.overall
     assert [c.name for c in rep.checks] == EXPECTED_CHECKS
     assert all(c.holds for c in rep.checks)
+
+
+def test_invariant_report_transforms_f_once(monkeypatch):
+    # One transform of f for the report's own checks, one in each of the
+    # three tree builders and one of the linearly substituted g.
+    calls = []
+    real_wht = core.wht
+
+    def counting_wht(f):
+        calls.append(f.n)
+        return real_wht(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boolfourier" and getattr(module, "wht", None) is real_wht:
+            monkeypatch.setattr(module, "wht", counting_wht)
+    invariant_report(generate(FamilySpec("random_poly", {"n": 6, "d": 3, "seed": 2})))
+    assert calls == [6] * 5
+
+
+def test_invariant_report_matches_public_checks():
+    f = generate(FamilySpec("random_poly", {"n": 6, "d": 3, "seed": 2}))
+    records = {c.name: c for c in invariant_report(f).checks}
+    res = chang_check(f, min(abs(v) for v in core.wht(f).coeffs.values()))
+    assert (res.span, res.bound, res.holds) == (
+        records["chang_span"].lhs, records["chang_span"].rhs, records["chang_span"].holds)
+    for eta in (0.25, 0.5, 0.75, 1.0):
+        res = hypercontractivity_check(f, eta)
+        rec = records[f"hypercontractivity_{eta}"]
+        assert (res.lhs, res.rhs, res.holds) == (rec.lhs, rec.rhs, rec.holds)
 
 
 def test_report_as_dict_shape():
