@@ -6,8 +6,12 @@ restrictions carry an affine frame (basis images plus shift) and translate
 each chosen direction back before recording it, so the recorded masks along
 any root-to-leaf path are linearly independent by construction.
 
-Trace l1 numerators are always expressed over the root denominator
-``2**f.n`` so they are comparable along every path.
+Every tree builder is a chooser over one recursion, ``_grow``: it folds the
++/-1 spectrum of f and the frame along the query the chooser picks at each
+node, so trace l1 numerators stay over the root denominator ``2**f.n`` and
+are comparable along every path.  A builder or certificate that needs the
+truth table of a restriction gathers it from the frame
+(``_Frame.restriction``) instead of restricting tables step by step.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._bits import (
-    delete_bit,
     dot,
     highest_set_bit,
     lex_key,
@@ -45,10 +48,9 @@ from .errors import (
     NotFound,
     TooLarge,
 )
-from .gf2 import echelon_pivots, gf2_rank, solve_linear_system
+from .gf2 import echelon_pivots, solve_linear_system
 from .restrict import (
     AffineConstraint,
-    _restrict_once,
     _translate_constraint,
     derivative,
     fold,
@@ -121,19 +123,24 @@ class Pdt:
     def validate(self) -> None:
         top = 1 << self.n
 
-        def walk(node: PdtNodeOrLeaf, path_masks: List[int]) -> None:
+        def walk(node: PdtNodeOrLeaf, ech: List[int]) -> None:
+            # ech: the path's masks, each reduced against those above it, so
+            # their highest bits are distinct and one pass reduces a new mask.
             if isinstance(node, PdtLeaf):
                 if node.value not in (0, 1):
                     raise InvalidTree(f"leaf value {node.value} not a bit")
                 return
             if not 0 < node.mask < top:
                 raise InvalidTree(f"query mask {node.mask} out of range for n={self.n}")
-            path_masks.append(node.mask)
-            if gf2_rank(path_masks) != len(path_masks):
+            r = node.mask
+            for e in ech:
+                r = min(r, r ^ e)
+            if r == 0:
                 raise InvalidTree("query masks along a path are dependent")
-            walk(node.child0, path_masks)
-            walk(node.child1, path_masks)
-            path_masks.pop()
+            ech.append(r)
+            walk(node.child0, ech)
+            walk(node.child1, ech)
+            ech.pop()
 
         walk(self.root, [])
 
@@ -347,30 +354,39 @@ class _Frame:
         shift = self.shift ^ (self.basis[h] if b else 0)
         return _Frame(self.n, new_basis, shift)
 
+    def restriction(self, f: BooleanFunction) -> BooleanFunction:
+        """f on the frame's subspace, in the frame's coordinates.
+
+        One gather: the same table as restricting f step by step along the
+        chain of (t, b) that built the frame, since ``restricted`` maps the
+        fold's quotient basis into original coordinates.
+        """
+        if self.m == f.n:
+            return f  # only the identity frame keeps every coordinate
+        return BooleanFunction(self.m, f.table[span_points(self.basis, self.shift)])
+
 
 def _restrict_with_frame(
-    g: BooleanFunction,
-    spec: Spectrum,
-    frame: _Frame,
-    constraints: Sequence[Tuple[int, int]],
-) -> Tuple[BooleanFunction, Spectrum, _Frame, List[AffineConstraint]]:
+    spec: Spectrum, frame: _Frame, constraints: Sequence[AffineConstraint]
+) -> Tuple[Spectrum, _Frame, List[AffineConstraint]]:
     """Apply current-coordinate constraints stepwise; report original ones.
 
-    ``spec``, a spectrum of g, is folded along the same (t, b) steps, so it
-    stays a spectrum of the restriction at its own denom_exp (the identity
-    ``restrict_affine`` documents) without another transform.
+    ``spec``, a spectrum in the frame's coordinates, is folded along the same
+    (t, b) steps, so it stays a spectrum of the restriction at its own
+    denom_exp (the identity ``restrict_affine`` documents) without another
+    transform.  The restricted table is ``frame.restriction(f)`` of the
+    returned frame.
     """
     recorded = []
-    pending = list(constraints)
+    pending = [(c.mask, c.bit) for c in constraints]
     while pending:
         t, b = pending[0]
         q = frame.query_mask(t)
         recorded.append(AffineConstraint(q, b ^ dot(q, frame.shift)))
-        g = _restrict_once(g, t, b)
         spec = fold(spec, t, b)
         frame = frame.restricted(t, b)
         pending = [_translate_constraint(tj, bj, t, b) for tj, bj in pending[1:]]
-    return g, spec, frame, recorded
+    return spec, frame, recorded
 
 
 def _pm_of(g: BooleanFunction) -> Spectrum:
@@ -401,41 +417,60 @@ def _top_two(spectrum: Spectrum) -> Tuple[int, int]:
 # Builders.
 
 
-def _build_by_choice(f: BooleanFunction, choose):
-    """Shared recursion: fold the +/-1 spectrum along chosen directions.
+def _grow(f: BooleanFunction, spec: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
+    """The one tree recursion: query, fold both branches, recurse.
 
-    ``choose(spectrum)`` returns (direction, trace annotations) for a spectrum
-    with l0 >= 2; single characters and constants are handled here.
+    ``spec`` is the +/-1 spectrum of f over the root denominator; it and the
+    frame are folded along every query.  At each node ``choose(spec, frame,
+    state)`` returns ``(q, t, info, child_state)``: the original mask to
+    query, its direction in the frame's coordinates, the trace annotations
+    and the state both children get.  ``q`` is None for a leaf, whose value
+    is the constant ``spec``.  ``state`` is the root's state.
     """
     trace = BuildTrace(n=f.n, denom_exp=f.n)
 
-    def rec(spec: Spectrum, frame: _Frame, parent: Optional[int], branch) -> PdtNodeOrLeaf:
-        stats_l0 = spec.l0()
-        l1 = spec.l1_num()
-        masks = list(spec.coeffs)
-        if stats_l0 <= 1 and (not masks or masks[0] == 0):
-            value = _leaf_bit(spec)
-            trace.add(parent_id=parent, branch=branch, mask=None, l0=stats_l0, l1_num=l1)
-            return PdtLeaf(value)
-        if stats_l0 == 1:
-            t, info = masks[0], {}
-        else:
-            t, info = choose(spec)
-        q = frame.query_mask(t)
-        offset = dot(q, frame.shift)
+    def rec(spec: Spectrum, frame: _Frame, state, parent, branch) -> PdtNodeOrLeaf:
+        q, t, info, child_state = choose(spec, frame, state)
         node_id = trace.add(
-            parent_id=parent, branch=branch, mask=q, l0=stats_l0, l1_num=l1, info=info
+            parent_id=parent,
+            branch=branch,
+            mask=q,
+            l0=spec.l0(),
+            l1_num=spec.l1_num(),
+            info=info,
         )
-        children = {}
-        for beta in (0, 1):
-            b = beta ^ offset
-            children[beta] = rec(
-                fold(spec, t, b), frame.restricted(t, b), node_id, beta
-            )
-        return PdtNode(q, children[0], children[1])
+        if q is None:
+            return PdtLeaf(_leaf_bit(spec))
+        offset = dot(q, frame.shift)
+        child0, child1 = (
+            rec(fold(spec, t, b), frame.restricted(t, b), child_state, node_id, beta)
+            for beta, b in ((0, offset), (1, 1 ^ offset))
+        )
+        return PdtNode(q, child0, child1)
 
-    root = rec(_pm_of(f), _Frame.identity(f.n), None, None)
+    root = rec(spec, _Frame.identity(f.n), state, None, None)
+    # rec refers to itself through its closure cell; breaking that cycle
+    # frees the trace with its last reference, not at the next collection.
+    del rec
     return Pdt(f.n, root), trace
+
+
+def _fold_chooser(pick):
+    """Chooser folding along ``pick(spec) -> (t, info)`` while l0 >= 2.
+
+    A single character is queried along its own mask; a constant is a leaf.
+    """
+
+    def choose(spec: Spectrum, frame: _Frame, _state):
+        if spec.l0() > 1:
+            t, info = pick(spec)
+        else:
+            t, info = next(iter(spec.coeffs), 0), {}
+            if t == 0:
+                return None, 0, info, None
+        return frame.query_mask(t), t, info, None
+
+    return choose
 
 
 def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
@@ -444,11 +479,11 @@ def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     Ties are broken by x1-first mask order; both branches are expanded.
     """
 
-    def choose(spec: Spectrum):
+    def pick(spec: Spectrum):
         a1, a2 = _top_two(spec)
         return a1 ^ a2, {}
 
-    return _build_by_choice(f, choose)
+    return _grow(f, _pm_of(f), _fold_chooser(pick), None)
 
 
 def _heavy_direction(spec: Spectrum) -> Tuple[int, int]:
@@ -475,15 +510,19 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     Every fold removes at least p(t) coefficients from each child's support.
     """
 
-    def choose(spec: Spectrum):
+    def pick(spec: Spectrum):
         t, pairs = _heavy_direction(spec)
         return t, {"pairs": pairs}
 
-    return _build_by_choice(f, choose)
+    return _grow(f, _pm_of(f), _fold_chooser(pick), None)
 
 
 def _span_basis(spectrum: Spectrum) -> List[int]:
-    """Greedy independent subset of the support, scanned in x1-first order."""
+    """Greedy independent subset of the support, scanned in x1-first order.
+
+    Mask 0 is never taken, so a {0,1} spectrum and its +/-1 spectrum give
+    the same basis.
+    """
     n = spectrum.n
     basis: List[int] = []
     ech: List[int] = []
@@ -497,45 +536,22 @@ def _span_basis(spectrum: Spectrum) -> List[int]:
     return basis
 
 
-def _query_span(
-    trace: BuildTrace,
-    spec: Spectrum,
-    frame: _Frame,
-    basis: List[int],
-    parent: Optional[int],
-    branch,
-    info: dict,
-) -> PdtNodeOrLeaf:
-    """Query the original masks ``basis`` in order, below ``frame``.
+def _choose_span(spec: Spectrum, frame: _Frame, state):
+    """Chooser querying a tuple of original masks in order, then a leaf.
 
-    ``spec`` is a +/-1 spectrum in the frame's coordinates whose support spans
-    the same space as ``basis``; each mask is pulled back through the frame of
-    its level and the spectrum folded along it, so it is constant after the
-    last one.  Every trace node gets ``info``.
+    ``state`` is (pending masks, info).  Each mask is pulled back through
+    the frame of its level; when the masks span the support of ``spec`` it
+    is constant after the last one.  Every node, leaves included, shares
+    the one ``info`` dict: a dict per node costs memory on large trees.
     """
-
-    def rec(spec: Spectrum, frame: _Frame, level: int, parent, branch) -> PdtNodeOrLeaf:
-        l0, l1 = spec.l0(), spec.l1_num()
-        if level == len(basis):
-            trace.add(parent_id=parent, branch=branch, mask=None, l0=l0, l1_num=l1, info=info)
-            return PdtLeaf(_leaf_bit(spec))
-        q = basis[level]
-        t = frame.pullback(q)
-        if t == 0:
-            raise BoolFourierError("internal: span basis collapsed under folding")
-        offset = dot(q, frame.shift)
-        node_id = trace.add(
-            parent_id=parent, branch=branch, mask=q, l0=l0, l1_num=l1, info=info
-        )
-        children = {}
-        for beta in (0, 1):
-            b = beta ^ offset
-            children[beta] = rec(
-                fold(spec, t, b), frame.restricted(t, b), level + 1, node_id, beta
-            )
-        return PdtNode(q, children[0], children[1])
-
-    return rec(spec, frame, 0, parent, branch)
+    pending, info = state
+    if not pending:
+        return None, 0, info, None
+    q = pending[0]
+    t = frame.pullback(q)
+    if t == 0:
+        raise BoolFourierError("internal: pending query collapsed under folding")
+    return q, t, info, (pending[1:], info)
 
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
@@ -545,11 +561,7 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     d = len(basis)
     if d > 20:
         raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
-    trace = BuildTrace(n=f.n, denom_exp=f.n)
-    root = _query_span(
-        trace, to_pm_spectrum(spec01), _Frame.identity(f.n), basis, None, None, {}
-    )
-    return Pdt(f.n, root), trace
+    return _grow(f, to_pm_spectrum(spec01), _choose_span, (tuple(basis), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -736,94 +748,28 @@ def build_degree_reduce(
     (or the function is too large for it), the subtree is finished by
     span-query construction and flagged in the trace.
     """
-    trace = BuildTrace(n=f.n, denom_exp=f.n)
 
-    def node_stats(g: BooleanFunction) -> Tuple[int, int]:
-        spec = _pm_of(g)
-        return spec.l0(), spec.l1_num() << (f.n - g.n)
-
-    def span_tail(
-        g: BooleanFunction, frame: _Frame, parent, branch, round_no: int
-    ) -> PdtNodeOrLeaf:
-        spec01 = wht(g)
-        # The span basis is in g's coordinates; _query_span takes original masks.
-        basis = [frame.query_mask(t) for t in _span_basis(spec01)]
-        spec = to_pm_spectrum(spec01)
-        # Rescale so trace l1 numerators sit over the root denominator.
-        scaled = Spectrum(
-            spec.n, f.n, {m: v << (f.n - g.n) for m, v in spec.coeffs.items()}
-        )
-        info = {"fallback": True, "round": round_no}
-        return _query_span(trace, scaled, frame, basis, parent, branch, info)
-
-    def rec_round(
-        g: BooleanFunction,
-        frame: _Frame,
-        pending: List[int],
-        round_no: int,
-        parent,
-        branch,
-    ) -> PdtNodeOrLeaf:
-        if pending:
-            return descend(g, frame, pending, round_no, None, parent, branch)
-        if deg2(g) == 0:
-            # A constant's +/-1 spectrum is {0: +/-2^g.n}: l0 = 1, and its l1
-            # numerator over the root denominator is 2^f.n.
-            trace.add(
-                parent_id=parent,
-                branch=branch,
-                mask=None,
-                l0=1,
-                l1_num=1 << f.n,
-                info={"round": round_no},
-            )
-            return PdtLeaf(int(g.table[0]))
+    def choose(spec: Spectrum, frame: _Frame, state):
+        # state: (pending masks, info) as for span queries; a round starts
+        # where the pending masks run out and the restriction is not constant
+        pending, info = state
+        if pending or (spec.l0() == 1 and 0 in spec.coeffs):
+            return _choose_span(spec, frame, state)
+        round_no = info["round"] + 1
         try:
-            subspace = degree_reducing_subspace(g, max_codim, max_candidates)
+            subspace = degree_reducing_subspace(
+                frame.restriction(f), max_codim, max_candidates
+            )
         except (NotFound, TooLarge):
-            return span_tail(g, frame, parent, branch, round_no + 1)
-        queries = [frame.query_mask(t) for t in subspace]
-        return descend(
-            g,
-            frame,
-            queries,
-            round_no + 1,
-            len(subspace),
-            parent,
-            branch,
-        )
+            basis = tuple(frame.query_mask(t) for t in _span_basis(spec))
+            fallback = {"fallback": True, "round": round_no}
+            return _choose_span(spec, frame, (basis, fallback))
+        rest = tuple(frame.query_mask(t) for t in subspace[1:])
+        info = {"round": round_no, "round_queries": len(subspace)}
+        t = subspace[0]
+        return frame.query_mask(t), t, info, (rest, {"round": round_no})
 
-    def descend(
-        g: BooleanFunction,
-        frame: _Frame,
-        pending: List[int],
-        round_no: int,
-        round_queries: Optional[int],
-        parent,
-        branch,
-    ) -> PdtNodeOrLeaf:
-        l0, l1 = node_stats(g)
-        q = pending[0]
-        t_local = frame.pullback(q)
-        if t_local == 0:
-            raise BoolFourierError("internal: round query collapsed")
-        offset = dot(q, frame.shift)
-        info = {"round": round_no}
-        if round_queries is not None:
-            info["round_queries"] = round_queries
-        node_id = trace.add(
-            parent_id=parent, branch=branch, mask=q, l0=l0, l1_num=l1, info=info
-        )
-        children = {}
-        for beta in (0, 1):
-            b = beta ^ offset
-            g2 = _restrict_once(g, t_local, b)
-            fr2 = frame.restricted(t_local, b)
-            children[beta] = rec_round(g2, fr2, pending[1:], round_no, node_id, beta)
-        return PdtNode(q, children[0], children[1])
-
-    root = rec_round(f, _Frame.identity(f.n), [], 0, None, None)
-    return Pdt(f.n, root), trace
+    return _grow(f, _pm_of(f), choose, ((), {"round": 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -836,21 +782,32 @@ def certificate_check(f: BooleanFunction, cert: Certificate) -> bool:
     return g.is_constant() and int(g.table[0]) == cert.value
 
 
-def _greedy_constraints(
-    spec: Spectrum, frame: _Frame, out: List[AffineConstraint]
-) -> int:
-    """Greedy sign-aligned folding until constant; returns the constant bit."""
+def _greedy_fold(
+    spec: Spectrum, frame: _Frame, anchor: Optional[int] = None
+) -> Tuple[List[AffineConstraint], int]:
+    """Greedy folding until constant: (original constraints, constant bit).
+
+    Each step folds ``spec``, a +/-1 spectrum in the frame's coordinates,
+    along a1 ^ a2 for its two largest-magnitude coefficients (the lone mask
+    of a single character).  Without an anchor the branch making the merged
+    coefficient |a1| + |a2| is taken.  ``anchor`` is a point of the frame's
+    subspace in original coordinates; with it every branch keeps the anchor
+    inside, so each constraint holds there and the constant is the
+    function's value at the anchor.
+    """
+    out: List[AffineConstraint] = []
     while True:
-        masks = list(spec.coeffs)
-        if spec.l0() <= 1 and (not masks or masks[0] == 0):
-            return _leaf_bit(spec)
-        if spec.l0() == 1:
-            t, b = masks[0], 0
-        else:
+        if spec.l0() > 1:
             a1, a2 = _top_two(spec)
             t = a1 ^ a2
             b = 0 if spec.coeffs[a1] * spec.coeffs[a2] > 0 else 1
+        else:
+            t, b = next(iter(spec.coeffs), 0), 0
+            if t == 0:
+                return out, _leaf_bit(spec)
         q = frame.query_mask(t)
+        if anchor is not None:
+            b = dot(q, anchor ^ frame.shift)
         out.append(AffineConstraint(q, b ^ dot(q, frame.shift)))
         spec = fold(spec, t, b)
         frame = frame.restricted(t, b)
@@ -866,40 +823,8 @@ def cert_greedy_l1(f: BooleanFunction) -> Certificate:
     """
     if f.is_constant():
         raise ConstantInput("constant functions need no certificate")
-    constraints: List[AffineConstraint] = []
-    value = _greedy_constraints(_pm_of(f), _Frame.identity(f.n), constraints)
+    constraints, value = _greedy_fold(_pm_of(f), _Frame.identity(f.n))
     return Certificate(tuple(constraints), value)
-
-
-def _anchored_greedy(spec: Spectrum, anchor: int) -> List[Tuple[int, int]]:
-    """Greedy-fold constraints (entry coordinates of g) through a fixed point.
-
-    ``spec`` is the +/-1 spectrum of g.  Branches are forced to keep the
-    anchor inside the subspace, so the final constant equals g(anchor).
-    Constraints are reported in the coordinates g was supplied in, not the
-    shrinking fold coordinates.
-    """
-    local = _Frame.identity(spec.n)
-    out: List[Tuple[int, int]] = []
-    y0 = anchor
-    while True:
-        masks = list(spec.coeffs)
-        if spec.l0() <= 1 and (not masks or masks[0] == 0):
-            return out
-        if spec.l0() == 1:
-            t = masks[0]
-        else:
-            a1, a2 = _top_two(spec)
-            t = a1 ^ a2
-        b = dot(t, y0)
-        q = local.query_mask(t)
-        out.append((q, b ^ dot(q, local.shift)))
-        spec = fold(spec, t, b)
-        local = local.restricted(t, b)
-        p = lowest_set_bit(t)
-        h = highest_set_bit(t)
-        # quotient coords of the anchor: non-pivot bits of y0 ^ b*e_h
-        y0 = delete_bit(y0 ^ (b << h), p)
 
 
 def cert_norm_halving(f: BooleanFunction) -> Certificate:
@@ -935,15 +860,15 @@ def cert_norm_halving_with_trace(
     """
     if f.is_constant():
         raise ConstantInput("constant functions need no certificate")
-    n = f.n
-    g = f
-    # +/-1 spectrum of g over the root denominator 2**n, folded along with
-    # every restriction of g rather than transformed again.
+    # +/-1 spectrum of the current restriction g over the root denominator
+    # 2**f.n, folded along with the frame rather than transformed again; g's
+    # table is gathered from the frame once per iteration.
     spec = _pm_of(f)
-    frame = _Frame.identity(n)
+    frame = _Frame.identity(f.n)
     constraints: List[AffineConstraint] = []
     steps: List[HalvingStep] = []
     while True:
+        g = frame.restriction(f)
         d = deg2(g)
         if d == 0:
             value = int(g.table[0])
@@ -959,7 +884,8 @@ def cert_norm_halving_with_trace(
             value = const
             break
         if d == 2:
-            value = _greedy_constraints(spec, frame, constraints)
+            tail, value = _greedy_fold(spec, frame)
+            constraints.extend(tail)
             break
         m = g.n
         t = None
@@ -975,12 +901,13 @@ def cert_norm_halving_with_trace(
         split0, split1 = spectrum_split(spec, t)
         l1_total = spec.l1_num()
         l1_0, l1_1 = split0.l1_num(), split1.l1_num()
-        deriv_spec = _pm_of(deriv)
-        sub0 = _anchored_greedy(deriv_spec, int(np.nonzero(deriv.table == 0)[0][0]))
-        sub1 = _anchored_greedy(deriv_spec, int(np.nonzero(deriv.table == 1)[0][0]))
+        # both certificates in g's own coordinates, through a point of each value
+        deriv_spec, local = _pm_of(deriv), _Frame.identity(m)
+        sub0, _ = _greedy_fold(deriv_spec, local, int(np.nonzero(deriv.table == 0)[0][0]))
+        sub1, _ = _greedy_fold(deriv_spec, local, int(np.nonzero(deriv.table == 1)[0][0]))
         b_star = 0 if 2 * l1_0 <= l1_total else 1
         chosen = sub0 if b_star == 0 else sub1
-        g, spec, frame, recorded = _restrict_with_frame(g, spec, frame, chosen)
+        spec, frame, recorded = _restrict_with_frame(spec, frame, chosen)
         constraints.extend(recorded)
         step = HalvingStep(
             derivative_mask=t,

@@ -48,7 +48,7 @@ from boolfourier import (
 )
 
 from boolfourier import pdt as pdt_module
-from boolfourier._bits import mask_to_string
+from boolfourier._bits import dot, mask_to_string, span_points
 from boolfourier.pdt import _heavy_direction
 
 from helpers import (
@@ -232,6 +232,13 @@ def test_validate_rejects_dependent_path():
     inner = PdtNode(1, PdtLeaf(0), PdtLeaf(1))
     with pytest.raises(InvalidTree):
         Pdt(2, PdtNode(1, inner, PdtLeaf(0))).validate()
+    # paths 1, 2, 4 under child0; child1 repeats them (valid) or asks
+    # 1, 2, 1^2 (dependent): the walk must backtrack its echelon state
+    valid = PdtNode(2, PdtNode(4, PdtLeaf(0), PdtLeaf(1)), PdtLeaf(0))
+    Pdt(3, PdtNode(1, valid, valid)).validate()
+    dependent = PdtNode(2, PdtNode(3, PdtLeaf(0), PdtLeaf(1)), PdtLeaf(1))
+    with pytest.raises(InvalidTree):
+        Pdt(3, PdtNode(1, valid, dependent))
 
 
 def test_depth_size_leaves():
@@ -508,6 +515,54 @@ def test_one_transform_per_call(monkeypatch):
     # the input's transform, then one per outer iteration for its derivative
     assert len(steps) == 2
     assert len(calls) == 1 + len(steps)
+    # degree-reduce folds the root spectrum for its trace and its fallback
+    g = generate(FamilySpec("random_poly", {"n": 7, "d": 3, "seed": 1}))
+    for budget in (pdt_module.DEGREE_SEARCH_BUDGET, 5):
+        calls.clear()
+        build_degree_reduce(g, max_candidates=budget)
+        assert len(calls) == 1, budget
+
+
+def _frame_chain(f, data):
+    """Restrict f's +/-1 spectrum and frame along two random constraint lists.
+
+    Each list is drawn independent in the coordinates of the frame it is
+    applied to.  Returns (spectrum, frame, recorded original constraints).
+    """
+    spec, frame = to_pm_spectrum(wht(f)), pdt_module._Frame.identity(f.n)
+    recorded = []
+    for _ in range(2):
+        masks = []
+        top = max(1, (1 << frame.m) - 1)
+        for t in data.draw(st.lists(st.integers(1, top), max_size=frame.m)):
+            if _independent(masks + [t]):
+                masks.append(t)
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
+        local = [AffineConstraint(t, b) for t, b in zip(masks, bits)]
+        spec, frame, more = pdt_module._restrict_with_frame(spec, frame, local)
+        recorded += more
+    return spec, frame, recorded
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(8), st.data())
+def test_frame_restriction_matches_restrict_affine(f, data):
+    spec, frame, recorded = _frame_chain(f, data)
+    g = frame.restriction(f)
+    assert g == restrict_affine(f, recorded)
+    assert spec.values_equal(to_pm_spectrum(wht(g)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(8), st.data())
+def test_anchored_greedy_fold_holds_at_anchor(f, data):
+    spec, frame, recorded = _frame_chain(f, data)
+    points = span_points(frame.basis, frame.shift)
+    anchor = int(points[data.draw(st.integers(0, points.size - 1))])
+    constraints, value = pdt_module._greedy_fold(spec, frame, anchor)
+    assert all(dot(c.mask, anchor) == c.bit for c in constraints)
+    assert value == f.value(anchor)
+    assert certificate_check(f, Certificate(tuple(recorded + constraints), value))
 
 
 @settings(max_examples=50, deadline=None)
