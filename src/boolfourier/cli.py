@@ -311,6 +311,8 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.max_codim < 0 or args.max_candidates < 0:
+        raise InvalidSpec("--max-codim and --max-candidates must be non-negative")
     f = parse_function_spec(args.fn)
     result = rank_exact(f, max_codim=args.max_codim, max_candidates=args.max_candidates)
     _emit(
@@ -339,7 +341,7 @@ def _cmd_comm_rank(args) -> int:
 
 def _cmd_comm_sim(args) -> int:
     f = parse_function_spec(args.fn)
-    if len(args.x) != f.n or len(args.y) != f.n:
+    if any(len(s) != f.n or not set(s) <= set("01") for s in (args.x, args.y)):
         raise InvalidSpec(f"--x and --y must be length-{f.n} bitstrings")
     x = string_to_mask(args.x)
     y = string_to_mask(args.y)

@@ -92,35 +92,22 @@ class Gf2Matrix:
 
 
 def gf2_invert(matrix: Gf2Matrix) -> Optional[Gf2Matrix]:
-    """Inverse via Gauss-Jordan on [M | I]; None if singular."""
+    """Inverse via Gauss-Jordan on [M | I]; None if singular.
+
+    The reduced row with pivot p < n has e_p on the left, so its right half
+    is row p of the inverse; a pivot at n or above means M is singular.
+    """
     n = matrix.ncols
     if matrix.nrows != n:
         return None
-    rows = list(matrix.rows)
-    aug = [1 << i for i in range(n)]
-    pivot_of_col: dict[int, int] = {}
-    order: List[int] = []
-    for i in range(n):
-        row, inv = rows[i], aug[i]
-        for col, j in pivot_of_col.items():
-            if (row >> col) & 1:
-                row ^= rows[j]
-                inv ^= aug[j]
-        if row == 0:
-            return None
-        col = lowest_set_bit(row)
-        for j in order:
-            if (rows[j] >> col) & 1:
-                rows[j] ^= row
-                aug[j] ^= inv
-        rows[i], aug[i] = row, inv
-        pivot_of_col[col] = i
-        order.append(i)
-    # rows is now a permutation of the identity (one pivot bit per row); the
-    # aug row reducing to e_c is row c of the inverse.
+    ech, pivots = echelon_pivots(
+        [row | (1 << (n + i)) for i, row in enumerate(matrix.rows)]
+    )
+    if any(p >= n for p in pivots):
+        return None
     result = [0] * n
-    for i, row in enumerate(rows):
-        result[lowest_set_bit(row)] = aug[i]
+    for row, p in zip(ech, pivots):
+        result[p] = row >> n
     return Gf2Matrix(result, n)
 
 
@@ -186,30 +173,19 @@ def apply_linear(f, linear_map: LinearMap):
 
 
 def solve_linear_system(rows: Sequence[int], rhs: Sequence[int], n: int) -> Optional[int]:
-    """One solution x of <rows[i], x> = rhs[i], or None if inconsistent.
+    """One solution x of <rows[i], x> = rhs[i] for n-bit rows, or None if inconsistent.
 
-    Deterministic: lowest-set-bit pivoting with free variables set to zero.
+    Deterministic: the rhs bit rides at position n of each row through
+    ``echelon_pivots``; a pivot at n is an inconsistent row, and x sets the
+    pivot variables of the rows with bit n set, free variables zero.
     """
-    ech: List[tuple[int, int]] = []  # (row, rhs bit), fully reduced
-    for row, b in zip(rows, rhs):
-        b &= 1
-        for r, rb in ech:
-            if (row >> lowest_set_bit(r)) & 1:
-                row ^= r
-                b ^= rb
-        if row == 0:
-            if b:
-                return None
-            continue
-        p = lowest_set_bit(row)
-        ech = [
-            ((r ^ row), rb ^ b) if (r >> p) & 1 else (r, rb) for r, rb in ech
-        ]
-        ech.append((row, b))
+    ech, pivots = echelon_pivots([row | ((b & 1) << n) for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
     x = 0
-    for r, rb in ech:
-        if rb:
-            x |= 1 << lowest_set_bit(r)
+    for row, p in zip(ech, pivots):
+        if (row >> n) & 1:
+            x |= 1 << p
     return x
 
 

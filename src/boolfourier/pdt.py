@@ -9,9 +9,12 @@ any root-to-leaf path are linearly independent by construction.
 Every tree builder is a chooser over one recursion, ``_grow``: it folds the
 +/-1 spectrum of f and the frame along the query the chooser picks at each
 node, so trace l1 numerators stay over the root denominator ``2**f.n`` and
-are comparable along every path.  A builder or certificate that needs the
-truth table of a restriction gathers it from the frame
-(``_Frame.restriction``) instead of restricting tables step by step.
+are comparable along every path.  The frame is ``restrict._Frame``, the
+one code path that restricts: a builder or certificate that needs the truth
+table of a restriction gathers it once from the frame
+(``_Frame.restriction``), and original constraints enter the frame's
+coordinates through ``_Frame.local``.  Both norm-halving sub-certificates
+are folded on the outer frame, so they come back in original coordinates.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import numpy as np
 
 from ._bits import (
     dot,
-    highest_set_bit,
     lex_key,
-    lowest_set_bit,
     mask_to_string,
     span_points,
     string_to_mask,
@@ -34,7 +35,6 @@ from ._bits import (
 from .core import (
     BooleanFunction,
     Spectrum,
-    anf_of,
     deg2,
     to_pm_spectrum,
     wht,
@@ -48,10 +48,10 @@ from .errors import (
     NotFound,
     TooLarge,
 )
-from .gf2 import echelon_pivots, solve_linear_system
+from .gf2 import echelon_pivots
 from .restrict import (
     AffineConstraint,
-    _translate_constraint,
+    _Frame,
     derivative,
     fold,
     restrict_affine,
@@ -298,95 +298,22 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Affine frame threading original coordinates through restrictions.
-
-
-class _Frame:
-    """Embedding of the current coordinates into the original space.
-
-    A current point y maps to x = shift ^ XOR of basis[i] over set bits of y.
-    """
-
-    __slots__ = ("n", "basis", "shift")
-
-    def __init__(self, n: int, basis: List[int], shift: int):
-        self.n = n
-        self.basis = basis
-        self.shift = shift
-
-    @classmethod
-    def identity(cls, n: int) -> "_Frame":
-        return cls(n, [1 << i for i in range(n)], 0)
-
-    @property
-    def m(self) -> int:
-        return len(self.basis)
-
-    def query_mask(self, t: int) -> int:
-        """Original mask Q with <Q, x> = <t, y> ^ <Q, shift> on the subspace."""
-        rhs = [(t >> i) & 1 for i in range(self.m)]
-        q = solve_linear_system(self.basis, rhs, self.n)
-        if q is None or q == 0:
-            raise BoolFourierError("internal: frame query has no nonzero solution")
-        return q
-
-    def pullback(self, q: int) -> int:
-        """Current-coordinates direction of an original mask (may be zero)."""
-        t = 0
-        for i, v in enumerate(self.basis):
-            if dot(v, q):
-                t |= 1 << i
-        return t
-
-    def restricted(self, t: int, b: int) -> "_Frame":
-        """Frame after restricting the current coordinates along <t, y> = b."""
-        p = lowest_set_bit(t)
-        h = highest_set_bit(t)
-        new_basis = []
-        for q in range(self.m):
-            if q == p:
-                continue
-            v = self.basis[q]
-            if (t >> q) & 1:
-                v ^= self.basis[p]
-            new_basis.append(v)
-        shift = self.shift ^ (self.basis[h] if b else 0)
-        return _Frame(self.n, new_basis, shift)
-
-    def restriction(self, f: BooleanFunction) -> BooleanFunction:
-        """f on the frame's subspace, in the frame's coordinates.
-
-        One gather: the same table as restricting f step by step along the
-        chain of (t, b) that built the frame, since ``restricted`` maps the
-        fold's quotient basis into original coordinates.
-        """
-        if self.m == f.n:
-            return f  # only the identity frame keeps every coordinate
-        return BooleanFunction(self.m, f.table[span_points(self.basis, self.shift)])
-
-
 def _restrict_with_frame(
     spec: Spectrum, frame: _Frame, constraints: Sequence[AffineConstraint]
-) -> Tuple[Spectrum, _Frame, List[AffineConstraint]]:
-    """Apply current-coordinate constraints stepwise; report original ones.
+) -> Tuple[Spectrum, _Frame]:
+    """Restrict ``spec`` and ``frame`` along original constraints in order.
 
-    ``spec``, a spectrum in the frame's coordinates, is folded along the same
-    (t, b) steps, so it stays a spectrum of the restriction at its own
-    denom_exp (the identity ``restrict_affine`` documents) without another
-    transform.  The restricted table is ``frame.restriction(f)`` of the
-    returned frame.
+    ``spec``, a spectrum in the frame's coordinates, is folded along each
+    constraint pulled back through the frame, so it stays a spectrum of the
+    restriction at its own denom_exp (the identity ``restrict_affine``
+    documents) without another transform.  The restricted table is
+    ``frame.restriction(f)`` of the returned frame.
     """
-    recorded = []
-    pending = [(c.mask, c.bit) for c in constraints]
-    while pending:
-        t, b = pending[0]
-        q = frame.query_mask(t)
-        recorded.append(AffineConstraint(q, b ^ dot(q, frame.shift)))
+    for c in constraints:
+        t, b = frame.local(c)
         spec = fold(spec, t, b)
         frame = frame.restricted(t, b)
-        pending = [_translate_constraint(tj, bj, t, b) for tj, bj in pending[1:]]
-    return spec, frame, recorded
+    return spec, frame
 
 
 def _pm_of(g: BooleanFunction) -> Spectrum:
@@ -850,13 +777,14 @@ def cert_norm_halving_with_trace(
 ) -> Tuple[Certificate, List[HalvingStep]]:
     """Derivative-driven certificate plus its outer-iteration trace.
 
-    Loop on the current restriction g: degree <= 1 finishes with at most one
-    constraint; degree 2 finishes by greedy folding; otherwise take the
-    x1-first direction t with a non-constant derivative, certify both values
-    of the derivative on recursively chosen subspaces, adopt the branch whose
-    split l1 is at most half the total (ties toward 0), restrict and repeat.
-    The adopted restriction's l1 numerator is at most half its predecessor;
-    violation would be an internal error and raises.
+    Loop on the current restriction g: degree <= 2 finishes by greedy
+    folding (an affine g is a single character, one query or none);
+    otherwise take the x1-first direction t with a non-constant derivative,
+    certify both values of the derivative on recursively chosen subspaces,
+    adopt the branch whose split l1 is at most half the total (ties toward
+    0), restrict and repeat.  The adopted restriction's l1 numerator is at
+    most half its predecessor; violation would be an internal error and
+    raises.
     """
     if f.is_constant():
         raise ConstantInput("constant functions need no certificate")
@@ -865,28 +793,10 @@ def cert_norm_halving_with_trace(
     # table is gathered from the frame once per iteration.
     spec = _pm_of(f)
     frame = _Frame.identity(f.n)
+    g = f
     constraints: List[AffineConstraint] = []
     steps: List[HalvingStep] = []
-    while True:
-        g = frame.restriction(f)
-        d = deg2(g)
-        if d == 0:
-            value = int(g.table[0])
-            break
-        if d == 1:
-            anf = anf_of(g)
-            linear = 0
-            for m in anf.monomials:
-                linear |= m  # affine: the linear form is the XOR of singletons
-            const = 1 if 0 in anf.monomials else 0
-            q = frame.query_mask(linear)
-            constraints.append(AffineConstraint(q, dot(q, frame.shift)))
-            value = const
-            break
-        if d == 2:
-            tail, value = _greedy_fold(spec, frame)
-            constraints.extend(tail)
-            break
+    while deg2(g) > 2:
         m = g.n
         t = None
         # lex_key is bit reversal, an involution: this is x1-first order.
@@ -901,14 +811,22 @@ def cert_norm_halving_with_trace(
         split0, split1 = spectrum_split(spec, t)
         l1_total = spec.l1_num()
         l1_0, l1_1 = split0.l1_num(), split1.l1_num()
-        # both certificates in g's own coordinates, through a point of each value
-        deriv_spec, local = _pm_of(deriv), _Frame.identity(m)
-        sub0, _ = _greedy_fold(deriv_spec, local, int(np.nonzero(deriv.table == 0)[0][0]))
-        sub1, _ = _greedy_fold(deriv_spec, local, int(np.nonzero(deriv.table == 1)[0][0]))
+        # both certificates on the frame, each through the original point of
+        # the first index where the derivative takes its value
+        deriv_spec = _pm_of(deriv)
+        subs = []
+        for bit in (0, 1):
+            y = int(np.argmax(deriv.table == bit))
+            anchor = frame.shift
+            for i, v in enumerate(frame.basis):
+                if (y >> i) & 1:
+                    anchor ^= v
+            subs.append(_greedy_fold(deriv_spec, frame, anchor)[0])
+        sub0, sub1 = subs
         b_star = 0 if 2 * l1_0 <= l1_total else 1
         chosen = sub0 if b_star == 0 else sub1
-        spec, frame, recorded = _restrict_with_frame(spec, frame, chosen)
-        constraints.extend(recorded)
+        spec, frame = _restrict_with_frame(spec, frame, chosen)
+        constraints.extend(chosen)
         step = HalvingStep(
             derivative_mask=t,
             chosen_branch=b_star,
@@ -920,7 +838,9 @@ def cert_norm_halving_with_trace(
         steps.append(step)
         if 2 * step.l1_after > step.l1_before:
             raise BoolFourierError("internal: l1 numerator failed to halve")
-    return Certificate(tuple(constraints), value), steps
+        g = frame.restriction(f)
+    tail, value = _greedy_fold(spec, frame)
+    return Certificate(tuple(constraints + tail), value), steps
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ A fold along a nonzero direction ``t`` merges the coefficient pair
   numerically smaller one), giving the merged numerator
   ``num(u) + (-1)^b num(u^t)`` with no sign correction.
 
-``restrict_affine`` builds the truth table of the restriction through the
-same basis, so its transform reproduces the iterated fold exactly,
-coefficient for coefficient.  denom_exp is never rescaled by folds.
+``fold`` and ``_Frame.restricted`` are the only code that knows these
+coordinates.  A ``_Frame`` embeds the coordinates left by a chain of
+restrictions into the original space, so every restriction, builder and
+certificate gathers a restricted table once through its frame.
+``restrict_affine`` is that gather, so its transform reproduces the
+iterated fold exactly, coefficient for coefficient.  denom_exp is never
+rescaled by folds.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ import numpy as np
 from ._bits import delete_bit, dot, highest_set_bit, lowest_set_bit, span_points
 from .core import BooleanFunction, Spectrum
 from .errors import (
+    BoolFourierError,
     DependentConstraints,
     DimensionMismatch,
     NotBoolean,
     ZeroDirection,
 )
-from .gf2 import gf2_rank
+from .gf2 import gf2_rank, solve_linear_system
 
 __all__ = [
     "AffineConstraint",
@@ -40,7 +45,6 @@ __all__ = [
     "restrict_affine",
     "derivative",
     "spectrum_split",
-    "hyperplane_basis",
 ]
 
 
@@ -63,25 +67,6 @@ def _check_direction(n: int, t: int) -> None:
         raise ZeroDirection("direction must be nonzero")
     if not 0 < t < (1 << n):
         raise DimensionMismatch(f"direction {t} out of range for n={n}")
-
-
-def hyperplane_basis(n: int, t: int) -> Tuple[List[int], int]:
-    """Basis of the kernel of ``t`` plus the completing vector ``e_h``.
-
-    Returns (w_1..w_{n-1} in ascending free-position order, e_h).
-    """
-    _check_direction(n, t)
-    p = lowest_set_bit(t)
-    h = highest_set_bit(t)
-    basis = []
-    for q in range(n):
-        if q == p:
-            continue
-        w = 1 << q
-        if (t >> q) & 1:
-            w |= 1 << p
-        basis.append(w)
-    return basis, 1 << h
 
 
 def fold(spectrum: Spectrum, t: int, b: int) -> Spectrum:
@@ -114,18 +99,72 @@ def fold(spectrum: Spectrum, t: int, b: int) -> Spectrum:
     return Spectrum(spectrum.n - 1, spectrum.denom_exp, out)
 
 
-def _restrict_once(f: BooleanFunction, t: int, b: int) -> BooleanFunction:
-    """Truth table of f on <t, x> = b in the fold's quotient coordinates."""
-    basis, eh = hyperplane_basis(f.n, t)
-    return BooleanFunction(f.n - 1, f.table[span_points(basis, b * eh)])
+class _Frame:
+    """Embedding of the current coordinates into the original space.
 
+    A current point y maps to x = shift ^ XOR of basis[i] over set bits of y.
+    """
 
-def _translate_constraint(t: int, b: int, t1: int, b1: int) -> Tuple[int, int]:
-    """Re-express (t, b) in the quotient coordinates of a fold along (t1, b1)."""
-    p = lowest_set_bit(t1)
-    h = highest_set_bit(t1)
-    v = t ^ t1 if (t >> p) & 1 else t
-    return delete_bit(v, p), b ^ (b1 & (t >> h) & 1)
+    __slots__ = ("n", "basis", "shift")
+
+    def __init__(self, n: int, basis: List[int], shift: int):
+        self.n = n
+        self.basis = basis
+        self.shift = shift
+
+    @classmethod
+    def identity(cls, n: int) -> "_Frame":
+        return cls(n, [1 << i for i in range(n)], 0)
+
+    @property
+    def m(self) -> int:
+        return len(self.basis)
+
+    def query_mask(self, t: int) -> int:
+        """Original mask Q with <Q, x> = <t, y> ^ <Q, shift> on the subspace."""
+        rhs = [(t >> i) & 1 for i in range(self.m)]
+        q = solve_linear_system(self.basis, rhs, self.n)
+        if q is None or q == 0:
+            raise BoolFourierError("internal: frame query has no nonzero solution")
+        return q
+
+    def pullback(self, q: int) -> int:
+        """Current-coordinates direction of an original mask (may be zero)."""
+        t = 0
+        for i, v in enumerate(self.basis):
+            if dot(v, q):
+                t |= 1 << i
+        return t
+
+    def local(self, c: AffineConstraint) -> Tuple[int, int]:
+        """An original constraint as (t, b) with <t, y> = b in current coordinates."""
+        return self.pullback(c.mask), c.bit ^ dot(c.mask, self.shift)
+
+    def restricted(self, t: int, b: int) -> "_Frame":
+        """Frame after restricting the current coordinates along <t, y> = b."""
+        p = lowest_set_bit(t)
+        h = highest_set_bit(t)
+        new_basis = []
+        for q in range(self.m):
+            if q == p:
+                continue
+            v = self.basis[q]
+            if (t >> q) & 1:
+                v ^= self.basis[p]
+            new_basis.append(v)
+        shift = self.shift ^ (self.basis[h] if b else 0)
+        return _Frame(self.n, new_basis, shift)
+
+    def restriction(self, f: BooleanFunction) -> BooleanFunction:
+        """f on the frame's subspace, in the frame's coordinates.
+
+        One gather.  ``restricted`` maps the fold's quotient basis into
+        original coordinates, so the table's transform is the iterated fold
+        along the chain of (t, b) that built the frame.
+        """
+        if self.m == f.n:
+            return f  # only the identity frame keeps every coordinate
+        return BooleanFunction(self.m, f.table[span_points(self.basis, self.shift)])
 
 
 def restrict_affine(
@@ -133,23 +172,22 @@ def restrict_affine(
 ) -> BooleanFunction:
     """Restrict f to the affine subspace cut out by independent constraints.
 
-    Constraints are applied in order, each through the fold's quotient basis,
-    so the transform of the result equals the iterated fold of the transform
-    of f with the same directions and branch bits.  With k = n constraints the
-    result is the 0-variable function holding a single table bit.
+    Each constraint is pulled back into the frame left by the ones before it
+    and restricts that frame in the fold's quotient coordinates; the table is
+    gathered once through the final frame.  So the transform of the result
+    equals the iterated fold of the transform of f with the same directions
+    and branch bits.  With k = n constraints the result is the 0-variable
+    function holding a single table bit.
     """
     masks = [c.mask for c in constraints]
     for m in masks:
         _check_direction(f.n, m)
     if gf2_rank(masks) != len(masks):
         raise DependentConstraints("constraint masks are linearly dependent")
-    g = f
-    pending = [(c.mask, c.bit) for c in constraints]
-    while pending:
-        (t, b), rest = pending[0], pending[1:]
-        g = _restrict_once(g, t, b)
-        pending = [_translate_constraint(tj, bj, t, b) for tj, bj in rest]
-    return g
+    frame = _Frame.identity(f.n)
+    for c in constraints:
+        frame = frame.restricted(*frame.local(c))
+    return frame.restriction(f)
 
 
 def derivative(f: BooleanFunction, t: int) -> BooleanFunction:

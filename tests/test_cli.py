@@ -219,6 +219,20 @@ def test_rank_candidate_budget_exit_1(capsys):
     assert time.perf_counter() - start < 60
 
 
+@pytest.mark.parametrize("flag", ["--max-candidates", "--max-codim"])
+def test_rank_negative_limit_exit_2(capsys, flag):
+    code, out, err = run(capsys, "rank", "anf:3:x1*x2*x3", flag, "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("x, y", [("1a", "10"), ("11", "1"), ("10", "2x")])
+def test_comm_sim_bad_inputs_exit_2(capsys, x, y):
+    code, out, err = run(capsys, "comm", "sim", "anf:2:x1*x2", "--x", x, "--y", y)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_pdt_check_mismatch_exit_1(capsys, tmp_path):
     _, out, _ = run(capsys, "pdt", "build", "anf:2:x1*x2")
     tree_file = tmp_path / "tree.json"

@@ -526,20 +526,18 @@ def test_one_transform_per_call(monkeypatch):
 def _frame_chain(f, data):
     """Restrict f's +/-1 spectrum and frame along two random constraint lists.
 
-    Each list is drawn independent in the coordinates of the frame it is
-    applied to.  Returns (spectrum, frame, recorded original constraints).
+    Each list holds original constraints drawn independent of every one
+    before it.  Returns (spectrum, frame, all the constraints applied).
     """
     spec, frame = to_pm_spectrum(wht(f)), pdt_module._Frame.identity(f.n)
     recorded = []
     for _ in range(2):
-        masks = []
-        top = max(1, (1 << frame.m) - 1)
-        for t in data.draw(st.lists(st.integers(1, top), max_size=frame.m)):
-            if _independent(masks + [t]):
-                masks.append(t)
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
-        local = [AffineConstraint(t, b) for t, b in zip(masks, bits)]
-        spec, frame, more = pdt_module._restrict_with_frame(spec, frame, local)
+        more = []
+        for q in data.draw(st.lists(st.integers(1, (1 << f.n) - 1), max_size=frame.m)):
+            masks = [c.mask for c in recorded + more]
+            if _independent(masks + [q]):
+                more.append(AffineConstraint(q, data.draw(st.integers(0, 1))))
+        spec, frame = pdt_module._restrict_with_frame(spec, frame, more)
         recorded += more
     return spec, frame, recorded
 

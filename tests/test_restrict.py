@@ -8,14 +8,15 @@ from boolfourier import (
     AffineConstraint,
     BooleanFunction,
     DependentConstraints,
+    FamilySpec,
     ZeroDirection,
     derivative,
     fold,
+    generate,
     restrict_affine,
     spectrum_split,
     wht,
 )
-from boolfourier.restrict import hyperplane_basis
 
 from helpers import deg_oracle, parity, subspace_table
 
@@ -111,6 +112,38 @@ def test_restrict_affine_frozen():
     assert list(g.table) == [0, 0]
 
 
+# (random_poly n, d, seed), independent (mask, bit) constraints, and the
+# to_int tables of restrict_affine under the first k of them for k = 2..n:
+# the fold's quotient parametrization, point for point.
+RESTRICT_FROZEN = [
+    (
+        (6, 3, 4),
+        [(31, 1), (12, 1), (47, 0), (38, 1), (20, 1), (13, 1)],
+        [0x7583, 0x73, 0x5, 0x1, 0x1],
+    ),
+    (
+        (7, 3, 2),
+        [(68, 1), (94, 0), (79, 0), (124, 1), (28, 0), (40, 0), (70, 1)],
+        [0x91CD1F25, 0x1AD0, 0x28, 0x0, 0x0, 0x0],
+    ),
+    (
+        (8, 3, 5),
+        [(251, 0), (15, 1), (198, 1), (90, 1), (107, 1), (120, 0), (32, 1), (186, 1)],
+        [0xC942B7F04B3F9F27, 0xA05CB777, 0xECDF, 0xEF, 0xE, 0x3, 0x1],
+    ),
+]
+
+
+@pytest.mark.parametrize("params, pairs, tables", RESTRICT_FROZEN)
+def test_restrict_affine_parametrization_frozen(params, pairs, tables):
+    n, d, seed = params
+    f = generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
+    constraints = [AffineConstraint(m, b) for m, b in pairs]
+    got = [restrict_affine(f, constraints[:k]) for k in range(2, n + 1)]
+    assert [g.n for g in got] == list(range(n - 2, -1, -1))
+    assert [g.to_int() for g in got] == tables
+
+
 def test_restrict_dependent_raises():
     with pytest.raises(DependentConstraints):
         restrict_affine(AND2, [AffineConstraint(1, 0), AffineConstraint(1, 1)])
@@ -166,21 +199,3 @@ def test_split_frozen():
     s0, s1 = spectrum_split(wht(AND2), 1)
     assert s0.coeffs == {0: 1, 2: -1}
     assert s1.coeffs == {1: -1, 3: 1}
-
-
-# ---------------------------------------------------------------------------
-# Hyperplane basis.
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.data())
-def test_hyperplane_basis_properties(n, data):
-    t = data.draw(st.integers(1, (1 << n) - 1))
-    basis, completing = hyperplane_basis(n, t)
-    from boolfourier import gf2_rank
-
-    assert len(basis) == n - 1
-    assert all(parity(w & t) == 0 for w in basis)
-    assert gf2_rank(basis) == n - 1
-    assert parity(completing & t) == 1
-    assert gf2_rank(basis + [completing]) == n
