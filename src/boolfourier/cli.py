@@ -223,10 +223,15 @@ def _constraint_str(mask: int, bit: int, n: int) -> str:
     return f"{mask_to_string(mask, n)}={bit}"
 
 
-def _resolve(path: str, out_dir: Optional[str]) -> str:
+def _write_output(path: str, out_dir: Optional[str], text: str) -> None:
+    """Write an output file; a path that cannot be written is exit code 2."""
     if out_dir and not path.startswith("/"):
-        return f"{out_dir.rstrip('/')}/{path}"
-    return path
+        path = f"{out_dir.rstrip('/')}/{path}"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +259,7 @@ def _cmd_pdt_build(args) -> int:
     f = parse_function_spec(args.fn)
     tree, _trace = STRATEGIES[args.strategy](f)
     if args.dot:
-        path = _resolve(args.dot, args.out_dir)
-        with open(path, "w") as fh:
-            fh.write(tree_to_dot(tree))
+        _write_output(args.dot, args.out_dir, tree_to_dot(tree))
     _emit(
         {
             "n": tree.n,
@@ -498,9 +501,7 @@ def _cmd_sweep(args) -> int:
     writer.writerow(columns)
     for r in rows:
         writer.writerow([r[c] for c in columns])
-    path = _resolve(args.out, args.out_dir)
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    _write_output(args.out, args.out_dir, buf.getvalue())
     return 0
 
 

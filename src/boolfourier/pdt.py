@@ -15,6 +15,8 @@ table of a restriction gathers it once from the frame
 (``_Frame.restriction``), and original constraints enter the frame's
 coordinates through ``_Frame.local``.  Both norm-halving sub-certificates
 are folded on the outer frame, so they come back in original coordinates.
+The degree-drop search gathers each candidate's table through the points
+(``_Frame.points``) of the kernel frame ``_rref_bases`` yields with it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ._bits import (
     dot,
     lex_key,
     mask_to_string,
-    span_points,
     string_to_mask,
 )
 from .core import (
@@ -48,14 +49,12 @@ from .errors import (
     NotFound,
     TooLarge,
 )
-from .gf2 import echelon_pivots
 from .restrict import (
     AffineConstraint,
     _Frame,
     derivative,
     fold,
     restrict_affine,
-    spectrum_split,
 )
 
 __all__ = [
@@ -506,16 +505,18 @@ def _spread_bits(c: int, positions: Sequence[int]) -> int:
     return t
 
 
-def _rref_bases(n: int, k: int) -> Iterator[Tuple[int, ...]]:
+def _rref_bases(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], _Frame]]:
     """Canonical reduced-echelon bases (lowest-bit pivots) of k-dim mask spaces.
 
     Yields each subspace exactly once, as its unique canonical basis sorted
-    ascending, in ascending tuple order.
+    ascending, in ascending tuple order, with the frame of the basis's kernel.
+    A new row restricts its prefix's frame once (bit 0), so bases that share
+    a prefix share its frame.
     """
 
-    def rec(start: int, chosen: Tuple[int, ...], pivots: int, union: int):
+    def rec(start: int, chosen: Tuple[int, ...], pivots: int, union: int, frame: _Frame):
         if len(chosen) == k:
-            yield chosen
+            yield chosen, frame
             return
         positions = [q for q in range(n) if not (pivots >> q) & 1]
         m = len(positions)
@@ -531,9 +532,10 @@ def _rref_bases(n: int, k: int) -> Iterator[Tuple[int, ...]]:
             p = t & -t
             if union & p:
                 continue  # chosen rows must be zero at the new pivot
-            yield from rec(t + 1, chosen + (t,), pivots | p, union | t)
+            child = frame.restricted(frame.pullback(t), 0)
+            yield from rec(t + 1, chosen + (t,), pivots | p, union | t, child)
 
-    yield from rec(1, (), 0, 0)
+    yield from rec(1, (), 0, 0, _Frame.identity(n))
 
 
 class _DegreeDropChecker:
@@ -545,7 +547,6 @@ class _DegreeDropChecker:
     """
 
     def __init__(self, f: BooleanFunction):
-        self.n = f.n
         self.degree = deg2(f)
         self.table = f.table
         self._mob_masks: Dict[int, List[int]] = {}
@@ -574,19 +575,6 @@ class _DegreeDropChecker:
             self._weight_masks[m] = mask
         return mask
 
-    def subspace_points(self, basis_masks: Sequence[int]) -> np.ndarray:
-        """Points of the kernel of the constraint masks, one per quotient index."""
-        ech, pivots = echelon_pivots(basis_masks)
-        free = [q for q in range(self.n) if q not in pivots]
-        kernel = []
-        for q in free:
-            v = 1 << q
-            for r, p in zip(ech, pivots):
-                if (r >> q) & 1:
-                    v |= 1 << p
-            kernel.append(v)
-        return span_points(kernel)
-
     def drops_on(self, pts: np.ndarray) -> bool:
         m = int(pts.size).bit_length() - 1
         bits = self.table[pts]
@@ -609,22 +597,23 @@ def _first_drop(
     each candidate is tested on the coset through 0 only.
 
     Candidates are the canonical reduced-echelon bases of ``_rref_bases``, in
-    increasing codimension and ascending tuple order.  Raises NotFound when
-    the candidate budget (None: unbounded) runs out or no drop exists within
-    max_codim.
+    increasing codimension and ascending tuple order; each candidate's table
+    is gathered through the points of the kernel frame it comes with.  Raises
+    NotFound when the candidate budget (None: unbounded) runs out or no drop
+    exists within max_codim.
     """
     if f.n > _SEARCH_N_LIMIT:
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
     checker = _DegreeDropChecker(f)
     examined = 0
     for k in range(1, min(max_codim, f.n) + 1):
-        for basis_masks in _rref_bases(f.n, k):
+        for basis_masks, frame in _rref_bases(f.n, k):
             if max_candidates is not None and examined >= max_candidates:
                 raise NotFound(
                     f"candidate budget {max_candidates} exhausted at codim {k}"
                 )
             examined += 1
-            if checker.drops_on(checker.subspace_points(basis_masks)):
+            if checker.drops_on(frame.points()):
                 return basis_masks
     raise NotFound(f"no degree drop within codimension {max_codim}")
 
@@ -808,21 +797,18 @@ def cert_norm_halving_with_trace(
                 break
         if t is None:
             raise BoolFourierError("internal: no non-constant derivative at deg >= 2")
-        split0, split1 = spectrum_split(spec, t)
+        # split the l1 numerator by <s, t>: l1_1 is the part off t's kernel
         l1_total = spec.l1_num()
-        l1_0, l1_1 = split0.l1_num(), split1.l1_num()
+        l1_1 = sum(abs(num) for s, num in spec.coeffs.items() if dot(s, t))
+        l1_0 = l1_total - l1_1
         # both certificates on the frame, each through the original point of
         # the first index where the derivative takes its value
         deriv_spec = _pm_of(deriv)
-        subs = []
-        for bit in (0, 1):
-            y = int(np.argmax(deriv.table == bit))
-            anchor = frame.shift
-            for i, v in enumerate(frame.basis):
-                if (y >> i) & 1:
-                    anchor ^= v
-            subs.append(_greedy_fold(deriv_spec, frame, anchor)[0])
-        sub0, sub1 = subs
+        ys = [int(np.argmax(deriv.table == bit)) for bit in (0, 1)]
+        sub0, sub1 = (
+            _greedy_fold(deriv_spec, frame, anchor)[0]
+            for anchor in frame.points()[ys].tolist()
+        )
         b_star = 0 if 2 * l1_0 <= l1_total else 1
         chosen = sub0 if b_star == 0 else sub1
         spec, frame = _restrict_with_frame(spec, frame, chosen)

@@ -14,8 +14,10 @@ A fold along a nonzero direction ``t`` merges the coefficient pair
 
 ``fold`` and ``_Frame.restricted`` are the only code that knows these
 coordinates.  A ``_Frame`` embeds the coordinates left by a chain of
-restrictions into the original space, so every restriction, builder and
-certificate gathers a restricted table once through its frame.
+restrictions into the original space, and ``_Frame.points`` lists the
+original point of every current one.  So every restriction, builder,
+certificate and the degree-drop subspace search gathers a restricted table
+once through its frame.
 ``restrict_affine`` is that gather, so its transform reproduces the
 iterated fold exactly, coefficient for coefficient.  denom_exp is never
 rescaled by folds.
@@ -96,7 +98,8 @@ def fold(spectrum: Spectrum, t: int, b: int) -> Spectrum:
         if value:
             v = u ^ t if (u >> p) & 1 else u
             out[delete_bit(v, p)] = value
-    return Spectrum(spectrum.n - 1, spectrum.denom_exp, out)
+    # delete_bit keeps masks below 2**(n-1) and value is a nonzero int
+    return Spectrum._from_clean(spectrum.n - 1, spectrum.denom_exp, out)
 
 
 class _Frame:
@@ -155,6 +158,10 @@ class _Frame:
         shift = self.shift ^ (self.basis[h] if b else 0)
         return _Frame(self.n, new_basis, shift)
 
+    def points(self) -> np.ndarray:
+        """The original point of every current point y, at index y."""
+        return span_points(self.basis, self.shift)
+
     def restriction(self, f: BooleanFunction) -> BooleanFunction:
         """f on the frame's subspace, in the frame's coordinates.
 
@@ -164,7 +171,7 @@ class _Frame:
         """
         if self.m == f.n:
             return f  # only the identity frame keeps every coordinate
-        return BooleanFunction(self.m, f.table[span_points(self.basis, self.shift)])
+        return BooleanFunction(self.m, f.table[self.points()])
 
 
 def restrict_affine(

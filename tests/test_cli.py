@@ -261,6 +261,20 @@ def test_dot_file_and_out_dir(capsys, tmp_path):
     validate(out, "pdt_build")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pdt", "build", "anf:2:x1*x2", "--dot"],
+        ["sweep", "--family", "parity", "--n", "2..2", "--strategies", "greedy-l1", "--out"],
+    ],
+)
+def test_unwritable_output_exit_2(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and path in err
+
+
 def test_sweep_csv_golden(capsys, tmp_path):
     argv = [
         "--out-dir", str(tmp_path), "sweep",

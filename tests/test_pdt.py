@@ -48,7 +48,7 @@ from boolfourier import (
 )
 
 from boolfourier import pdt as pdt_module
-from boolfourier._bits import dot, mask_to_string, span_points
+from boolfourier._bits import dot, mask_to_string
 from boolfourier.pdt import _heavy_direction
 
 from helpers import (
@@ -304,6 +304,30 @@ def test_degree_drop_is_shift_free(data):
     assert drops == [drops[0]] * len(drops)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rref_frames_are_kernels_with_oracle_verdicts(n):
+    # Every candidate the search can examine at this n: its carried frame
+    # spans the kernel of its masks, and the packed verdict on the frame's
+    # points is the brute-force one.
+    fs = [generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
+          for d in range(1, min(n, 3) + 1) for seed in (1, 2)]
+    fs = [f for f in fs if not f.is_constant()]
+    assert fs
+    tables = [[int(v) for v in f.table] for f in fs]
+    degrees = [deg_oracle(t) for t in tables]
+    checkers = [pdt_module._DegreeDropChecker(f) for f in fs]
+    for k in range(1, n + 1):
+        for masks, frame in pdt_module._rref_bases(n, k):
+            points = frame.points()
+            listed = points.tolist()
+            assert len(listed) == len(set(listed)) == 1 << (n - k)
+            assert all(dot(t, x) == 0 for t in masks for x in listed)
+            constraints = [(t, 0) for t in masks]
+            for table, d, checker in zip(tables, degrees, checkers):
+                expect = deg_oracle(subspace_table(table, constraints)) < d
+                assert checker.drops_on(points) == expect, (masks, table)
+
+
 def test_rank_witness_order_is_ascending_tuple():
     # IP4's first codim-2 basis in ascending-tuple order is (1, 4)
     result = rank_exact(IP4)
@@ -555,7 +579,7 @@ def test_frame_restriction_matches_restrict_affine(f, data):
 @given(functions(8), st.data())
 def test_anchored_greedy_fold_holds_at_anchor(f, data):
     spec, frame, recorded = _frame_chain(f, data)
-    points = span_points(frame.basis, frame.shift)
+    points = frame.points()
     anchor = int(points[data.draw(st.integers(0, points.size - 1))])
     constraints, value = pdt_module._greedy_fold(spec, frame, anchor)
     assert all(dot(c.mask, anchor) == c.bit for c in constraints)
