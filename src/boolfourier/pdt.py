@@ -15,15 +15,19 @@ table of a restriction gathers it once from the frame
 (``_Frame.restriction``), and original constraints enter the frame's
 coordinates through ``_Frame.local``.  Both norm-halving sub-certificates
 are folded on the outer frame, so they come back in original coordinates.
-The degree-drop search gathers each candidate's table through the points
-(``_Frame.points``) of the kernel frame ``_rref_bases`` yields with it.
+The degree-drop search needs no frame: ``_rref_bases`` yields each
+candidate's rows with their pivots, which give its kernel directly, and
+candidates are tested in chunks (``_kernel_points`` and ``_drops``).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain, islice
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from ._bits import (
     dot,
     lex_key,
     mask_to_string,
+    popcounts,
     string_to_mask,
 )
 from .core import (
@@ -107,6 +112,8 @@ class PdtNode:
 
 
 PdtNodeOrLeaf = Union[PdtLeaf, PdtNode]
+# Leaves are immutable, so every tree a builder grows shares these two.
+_LEAVES = (PdtLeaf(0), PdtLeaf(1))
 
 
 class Pdt:
@@ -192,14 +199,14 @@ class Pdt:
         return f"Pdt(n={self.n}, depth={self.depth()}, size={self.size()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceNode:
     """One node of a build trace.
 
     ``l0``/``l1_num`` describe the +/-1 spectrum of the subfunction handled at
     this node, with l1_num over the root denominator 2**n.  ``mask`` is the
     recorded (original-coordinates) query, None for leaves.  ``info`` carries
-    builder-specific annotations.
+    builder-specific annotations; nodes of one build may share an info dict.
     """
 
     node_id: int
@@ -211,16 +218,103 @@ class TraceNode:
     info: dict = field(default_factory=dict)
 
 
-@dataclass
-class BuildTrace:
-    n: int
-    denom_exp: int
-    nodes: List[TraceNode] = field(default_factory=list)
+def _column(bits: int) -> array:
+    """Empty array of the narrowest signed type holding -1 and every value below 2**bits."""
+    return next(array(code) for code in "bhiq" if bits < 8 * array(code).itemsize)
 
-    def add(self, **kw) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(TraceNode(node_id=node_id, **kw))
+
+class BuildTrace:
+    """The nodes of one build in creation order, stored by column.
+
+    A node takes one entry in each of five integer columns (parent, branch,
+    mask, l0 and l1_num; None stored as -1) and one info reference instead
+    of an object; ``nodes`` is a read-only sequence that builds each
+    ``TraceNode`` on access.  Each column has the narrowest type its bound
+    allows: a tree on n variables has depth at most n, so fewer than
+    2**(n+1) nodes, masks below 2**n and l0 <= 2**n, and l1_num <=
+    2**denom_exp * 2**(n/2) by Parseval (2**36 at N_MAX).  A value that does
+    not fit raises OverflowError rather than wrapping, and leaves the trace
+    as it was.
+    """
+
+    __slots__ = ("n", "denom_exp", "_columns", "_info")
+
+    def __init__(self, n: int, denom_exp: int):
+        self.n = n
+        self.denom_exp = denom_exp
+        self._columns = (
+            _column(n + 1),
+            _column(1),
+            _column(n + 1),
+            _column(n + 1),
+            _column(denom_exp + n // 2 + 1),
+        )
+        self._info: List[dict] = []
+
+    def add(
+        self,
+        parent_id: Optional[int],
+        branch: Optional[int],
+        mask: Optional[int],
+        l0: int,
+        l1_num: int,
+        info: dict,
+    ) -> int:
+        """Append a node; returns its id."""
+        node_id = len(self._info)
+        row = (
+            -1 if parent_id is None else parent_id,
+            -1 if branch is None else branch,
+            -1 if mask is None else mask,
+            l0,
+            l1_num,
+        )
+        try:
+            for column, value in zip(self._columns, row):
+                column.append(value)
+        except OverflowError:
+            for column in self._columns:
+                del column[node_id:]
+            raise
+        self._info.append(info)
         return node_id
+
+    @property
+    def nodes(self) -> "_TraceNodes":
+        return _TraceNodes(self)
+
+    def _node(self, i: int) -> TraceNode:
+        parent, branch, mask, l0, l1_num = (column[i] for column in self._columns)
+        return TraceNode(
+            node_id=i,
+            parent_id=None if parent < 0 else parent,
+            branch=None if branch < 0 else branch,
+            mask=None if mask < 0 else mask,
+            l0=l0,
+            l1_num=l1_num,
+            info=self._info[i],
+        )
+
+
+class _TraceNodes(Sequence):
+    """Read-only view of a ``BuildTrace``'s nodes; a slice is a list."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: BuildTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._info)
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]  # negative indices, IndexError and slices as for a list
+        if isinstance(ids, range):
+            return [self._trace._node(j) for j in ids]
+        return self._trace._node(ids)
+
+    def __iter__(self) -> Iterator[TraceNode]:
+        return map(self._trace._node, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -231,7 +325,7 @@ class PdtCheckReport:
     first_mismatch: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Independent affine constraints forcing f to a constant value."""
 
@@ -243,7 +337,7 @@ class Certificate:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankResult:
     rank: int
     witness: Tuple[AffineConstraint, ...]
@@ -354,6 +448,10 @@ def _grow(f: BooleanFunction, spec: Spectrum, choose, state) -> Tuple[Pdt, Build
     is the constant ``spec``.  ``state`` is the root's state.
     """
     trace = BuildTrace(n=f.n, denom_exp=f.n)
+    # Equal annotations share one dict and equal subtrees one node, so what
+    # a build leaves behind grows with its distinct parts.
+    infos: dict = {}
+    subtrees: dict = {}
 
     def rec(spec: Spectrum, frame: _Frame, state, parent, branch) -> PdtNodeOrLeaf:
         q, t, info, child_state = choose(spec, frame, state)
@@ -363,16 +461,17 @@ def _grow(f: BooleanFunction, spec: Spectrum, choose, state) -> Tuple[Pdt, Build
             mask=q,
             l0=spec.l0(),
             l1_num=spec.l1_num(),
-            info=info,
+            info=infos.setdefault(tuple(info.items()), info),
         )
         if q is None:
-            return PdtLeaf(_leaf_bit(spec))
+            return _LEAVES[_leaf_bit(spec)]
         offset = dot(q, frame.shift)
         child0, child1 = (
             rec(fold(spec, t, b), frame.restricted(t, b), child_state, node_id, beta)
             for beta, b in ((0, offset), (1, 1 ^ offset))
         )
-        return PdtNode(q, child0, child1)
+        # the children are shared already, so equal subtrees get equal keys
+        return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
 
     root = rec(spec, _Frame.identity(f.n), state, None, None)
     # rec refers to itself through its closure cell; breaking that cycle
@@ -494,95 +593,97 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 # Degree-drop subspace search.
 
 
-def _spread_bits(c: int, positions: Sequence[int]) -> int:
-    t = 0
-    i = 0
-    while c:
-        if c & 1:
-            t |= 1 << positions[i]
-        c >>= 1
-        i += 1
-    return t
+def _least_submask_from(free: int, start: int) -> int:
+    """Least submask of ``free`` that is >= start, or 0 when there is none."""
+    t = start
+    while t <= free:
+        bad = t & ~free
+        if not bad:
+            return t
+        h = bad.bit_length() - 1
+        t = ((t >> h) + 1) << h  # round up past the highest bit outside free
+    return 0
 
 
-def _rref_bases(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], _Frame]]:
+# A candidate subspace: its canonical rows and each row's pivot (lowest bit).
+_Candidate = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _rref_bases(n: int, k: int) -> Iterator[_Candidate]:
     """Canonical reduced-echelon bases (lowest-bit pivots) of k-dim mask spaces.
 
-    Yields each subspace exactly once, as its unique canonical basis sorted
-    ascending, in ascending tuple order, with the frame of the basis's kernel.
-    A new row restricts its prefix's frame once (bit 0), so bases that share
-    a prefix share its frame.
+    Yields each subspace exactly once as (rows, pivots): its unique canonical
+    basis sorted ascending, in ascending tuple order, and each row's lowest
+    set bit as a mask.  Every row is zero at the other rows' pivots.
     """
+    full = (1 << n) - 1
 
-    def rec(start: int, chosen: Tuple[int, ...], pivots: int, union: int, frame: _Frame):
-        if len(chosen) == k:
-            yield chosen, frame
-            return
-        positions = [q for q in range(n) if not (pivots >> q) & 1]
-        m = len(positions)
-        lo, hi = 1, 1 << m
-        while lo < hi:  # first counter whose spread reaches start
-            mid = (lo + hi) // 2
-            if _spread_bits(mid, positions) >= start:
-                hi = mid
-            else:
-                lo = mid + 1
-        for c in range(lo, 1 << m):
-            t = _spread_bits(c, positions)
+    def rec(start: int, rows: Tuple[int, ...], pivots: Tuple[int, ...], union: int):
+        # a new row is zero at the chosen pivots: the submasks of free, ascending
+        free = full & ~sum(pivots)
+        last = len(rows) + 1 == k
+        t = _least_submask_from(free, start)
+        while t:
             p = t & -t
-            if union & p:
-                continue  # chosen rows must be zero at the new pivot
-            child = frame.restricted(frame.pullback(t), 0)
-            yield from rec(t + 1, chosen + (t,), pivots | p, union | t, child)
+            if not union & p:  # chosen rows must be zero at the new pivot
+                if last:
+                    yield rows + (t,), pivots + (p,)
+                else:
+                    yield from rec(t + 1, rows + (t,), pivots + (p,), union | t)
+            t = (t - free) & free
 
-    yield from rec(1, (), 0, 0, _Frame.identity(n))
+    return rec(1, (), (), 0)
 
 
-class _DegreeDropChecker:
-    """Fast exact test for deg2(f restricted to a linear subspace) < deg2(f).
+def _kernel_points(candidates: Sequence[_Candidate], n: int) -> np.ndarray:
+    """Column i: the 2**(n-k) points of the kernel of candidate i's rows.
 
-    The restricted table is packed into a single int and the GF(2) Moebius
-    transform runs word-parallel; the degree drops exactly when no monomial
-    of weight >= deg2(f) survives.
+    For each free (non-pivot) coordinate j the kernel vector is e_j plus the
+    pivot p_i of every row t_i with bit j set; the rows vanish on it because
+    each is zero at the other rows' pivots.  Points are filled by XOR
+    doubling along the vectors, on int16 since n <= _SEARCH_N_LIMIT; the
+    candidates run along the contiguous axis, so every step is one long
+    XOR.
     """
+    count = len(candidates)
+    k = len(candidates[0][0])
+    flat = chain.from_iterable(chain.from_iterable(candidates))
+    both = np.fromiter(flat, dtype=np.int16, count=2 * k * count).reshape(count, 2, k)
+    rows, pivots = both[:, 0, :], both[:, 1, :]
+    bit = np.left_shift(np.int16(1), np.arange(n, dtype=np.int16))
+    hits = (rows[:, :, None] & bit) != 0
+    vectors = (hits * pivots[:, :, None]).sum(axis=1, dtype=np.int16) | bit
+    free = (pivots.sum(axis=1, dtype=np.int16)[:, None] & bit) == 0
+    vectors = vectors[free].reshape(count, n - k).T
+    pts = np.empty((1 << (n - k), count), dtype=np.int16)
+    pts[0] = 0
+    for j, v in enumerate(vectors):
+        half = 1 << j
+        np.bitwise_xor(pts[:half], v, out=pts[half : 2 * half])
+    return pts
 
-    def __init__(self, f: BooleanFunction):
-        self.degree = deg2(f)
-        self.table = f.table
-        self._mob_masks: Dict[int, List[int]] = {}
-        self._weight_masks: Dict[int, int] = {}
 
-    def _mobius_masks(self, m: int) -> List[int]:
-        masks = self._mob_masks.get(m)
-        if masks is None:
-            masks = []
-            size = 1 << m
-            for i in range(m):
-                step = 1 << i
-                unit = (1 << step) - 1
-                period = (1 << (2 * step)) - 1
-                masks.append(((1 << size) - 1) // period * unit)
-            self._mob_masks[m] = masks
-        return masks
+def _drops(table: np.ndarray, pts: np.ndarray, heavy: np.ndarray) -> np.ndarray:
+    """Per column of ``pts``: no monomial of weight >= d survives on its points.
 
-    def _weight_mask(self, m: int) -> int:
-        mask = self._weight_masks.get(m)
-        if mask is None:
-            mask = 0
-            for x in range(1 << m):
-                if x.bit_count() >= self.degree:
-                    mask |= 1 << x
-            self._weight_masks[m] = mask
-        return mask
+    ``heavy`` lists the monomials (rows) of weight >= d.  One gather, then
+    the GF(2) Moebius butterfly down the columns.
+    """
+    vals = table[pts]
+    size, count = vals.shape
+    h = 1
+    while h < size:
+        v = vals.reshape(-1, 2, h, count)
+        v[:, 1] ^= v[:, 0]
+        h <<= 1
+    return ~vals[heavy].any(axis=0)
 
-    def drops_on(self, pts: np.ndarray) -> bool:
-        m = int(pts.size).bit_length() - 1
-        bits = self.table[pts]
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        t = int.from_bytes(packed, "little")
-        for i, mask in enumerate(self._mobius_masks(m)):
-            t ^= (t & mask) << (1 << i)
-        return (t & self._weight_mask(m)) == 0
+
+# A chunk starts at _CHUNK_START candidates and doubles, up to _CHUNK_POINTS
+# kernel points: searches that end early stay cheap, and the arrays of one
+# chunk stay well below a MiB.
+_CHUNK_START = 16
+_CHUNK_POINTS = 1 << 16
 
 
 def _first_drop(
@@ -597,24 +698,41 @@ def _first_drop(
     each candidate is tested on the coset through 0 only.
 
     Candidates are the canonical reduced-echelon bases of ``_rref_bases``, in
-    increasing codimension and ascending tuple order; each candidate's table
-    is gathered through the points of the kernel frame it comes with.  Raises
-    NotFound when the candidate budget (None: unbounded) runs out or no drop
-    exists within max_codim.
+    increasing codimension and ascending tuple order.  They are tested in
+    chunks that keep that order (``_kernel_points``, then ``_drops``), so
+    the first hit of a chunk is the first candidate that drops, and a chunk
+    never reaches past the budget.  Raises NotFound when the candidate
+    budget (None: unbounded) runs out or no drop exists within max_codim.
     """
-    if f.n > _SEARCH_N_LIMIT:
+    n = f.n
+    if n > _SEARCH_N_LIMIT:
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
-    checker = _DegreeDropChecker(f)
+    d = deg2(f)
     examined = 0
-    for k in range(1, min(max_codim, f.n) + 1):
-        for basis_masks, frame in _rref_bases(f.n, k):
+    for k in range(1, min(max_codim, n) + 1):
+        heavy = np.flatnonzero(popcounts(n - k) >= d)
+        cap = _CHUNK_POINTS >> (n - k)
+        bases = _rref_bases(n, k)
+        size = min(_CHUNK_START, cap)
+        while True:
+            room = size
+            if max_candidates is not None:
+                room = max(0, min(size, max_candidates - examined))
+            chunk = list(islice(bases, room))
+            if chunk:
+                examined += len(chunk)
+                drops = _drops(f.table, _kernel_points(chunk, n), heavy)
+                if drops.any():
+                    return chunk[int(drops.argmax())][0]
+            if len(chunk) < room:
+                break  # codim k is done
             if max_candidates is not None and examined >= max_candidates:
-                raise NotFound(
-                    f"candidate budget {max_candidates} exhausted at codim {k}"
-                )
-            examined += 1
-            if checker.drops_on(frame.points()):
-                return basis_masks
+                if next(bases, None) is not None:
+                    raise NotFound(
+                        f"candidate budget {max_candidates} exhausted at codim {k}"
+                    )
+                break
+            size = min(2 * size, cap)
     raise NotFound(f"no degree drop within codimension {max_codim}")
 
 

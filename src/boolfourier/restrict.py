@@ -15,9 +15,8 @@ A fold along a nonzero direction ``t`` merges the coefficient pair
 ``fold`` and ``_Frame.restricted`` are the only code that knows these
 coordinates.  A ``_Frame`` embeds the coordinates left by a chain of
 restrictions into the original space, and ``_Frame.points`` lists the
-original point of every current one.  So every restriction, builder,
-certificate and the degree-drop subspace search gathers a restricted table
-once through its frame.
+original point of every current one.  So every restriction, builder and
+certificate gathers a restricted table once through its frame.
 ``restrict_affine`` is that gather, so its transform reproduces the
 iterated fold exactly, coefficient for coefficient.  denom_exp is never
 rescaled by folds.
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineConstraint:
     """The constraint <mask, x> = bit with a nonzero mask and bit in {0, 1}."""
 

@@ -3,18 +3,22 @@
 The oracles recompute everything from definitions in plain Python (direct
 double-loop transforms, subset-sum Moebius, point-selection restrictions,
 Fraction Gaussian elimination) so package results can be checked against
-arithmetic that shares no code with the implementation.  The one exception,
-``protocol_oracle``, is the per-pair loop over ``simulate_protocol`` that the
-vectorized ``verify_protocol`` is checked against.
+arithmetic that shares no code with the implementation.  Two references
+are slow loops the vectorized code is checked against instead:
+``protocol_oracle``, the per-pair loop over ``simulate_protocol`` behind
+``verify_protocol``, and ``first_drop_reference``, the per-candidate
+degree-drop search behind the batched one.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from boolfourier import FamilySpec, generate, simulate_protocol
+import numpy as np
+
+from boolfourier import FamilySpec, NotFound, TooLarge, generate, simulate_protocol
 
 # ---------------------------------------------------------------------------
 # Independent oracles (no package imports beyond corpus construction).
@@ -191,7 +195,7 @@ def xor_matrix_oracle(table: Sequence[int]) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Per-pair reference loop over a package primitive.
+# Slow reference loops for vectorized package code.
 
 
 def protocol_oracle(tree, f) -> bool:
@@ -205,6 +209,69 @@ def protocol_oracle(tree, f) -> bool:
         for x in range(size)
         for y in range(size)
     )
+
+
+def rref_bases_reference(n: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """Canonical bases of the k-dim mask spaces, in ascending tuple order.
+
+    A basis is canonical when its rows ascend, each row's lowest set bit is
+    its pivot, and every row is zero at the other rows' pivots.  Each row
+    is found by scanning every mask above the previous one.
+    """
+
+    def rec(start: int, rows: Tuple[int, ...], pivots: int, union: int):
+        if len(rows) == k:
+            yield rows
+            return
+        for t in range(start, 1 << n):
+            if t & pivots or union & (t & -t):
+                continue
+            yield from rec(t + 1, rows + (t,), pivots | (t & -t), union | t)
+
+    yield from rec(1, (), 0, 0)
+
+
+def _packed_drop(bits: Sequence[int], d: int) -> bool:
+    """Whether no monomial of weight >= d survives in a 0/1 table of size 2^m.
+
+    The table is packed into one int and the Moebius transform runs
+    word-parallel.
+    """
+    size = len(bits)
+    m = size.bit_length() - 1
+    word = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    for i in range(m):
+        step = 1 << i
+        period_mask = ((1 << size) - 1) // ((1 << (2 * step)) - 1) * ((1 << step) - 1)
+        word ^= (word & period_mask) << step
+    heavy = sum(1 << x for x in range(size) if x.bit_count() >= d)
+    return word & heavy == 0
+
+
+def first_drop_reference(f, max_codim: int, max_candidates: Optional[int]) -> Tuple[int, ...]:
+    """Per-candidate reference for the package's degree-drop search.
+
+    Candidates are ``rref_bases_reference`` in increasing codimension, each
+    tested alone on the kernel of its rows.  The kernel's points in
+    ascending order are a linear parametrization of it (by its basis
+    reduced on highest bits, in order), so f's table on them has the
+    restriction's degree.  Raises the package's NotFound and TooLarge with
+    the same texts.
+    """
+    if f.n > 12:
+        raise TooLarge("subspace search supports n <= 12")
+    d = deg_oracle(f.table)
+    xs = np.arange(1 << f.n)
+    examined = 0
+    for k in range(1, min(max_codim, f.n) + 1):
+        for rows in rref_bases_reference(f.n, k):
+            if max_candidates is not None and examined >= max_candidates:
+                raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
+            examined += 1
+            odd = np.bitwise_count(xs[None, :] & np.array(rows)[:, None]) & 1
+            if _packed_drop(f.table[np.flatnonzero(~odd.any(axis=0))], d):
+                return rows
+    raise NotFound(f"no degree drop within codimension {max_codim}")
 
 
 # ---------------------------------------------------------------------------

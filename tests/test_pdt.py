@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from boolfourier import (
     AffineConstraint,
     BooleanFunction,
+    BuildTrace,
     Certificate,
     ConstantInput,
     FamilySpec,
@@ -48,15 +49,17 @@ from boolfourier import (
 )
 
 from boolfourier import pdt as pdt_module
-from boolfourier._bits import dot, mask_to_string
+from boolfourier._bits import dot, mask_to_string, popcounts
 from boolfourier.pdt import _heavy_direction
 
 from helpers import (
     _independent,
     deg_oracle,
+    first_drop_reference,
     heavy_direction_oracle,
     parity,
     rank_oracle,
+    rref_bases_reference,
     subspace_table,
     x1_first_string,
 )
@@ -180,14 +183,51 @@ def test_degree_reduce_span_fallback_tiny_budget():
             assert pdt_check(f, tree).correct, (n, seed)
             fallback = [node for node in trace.nodes if node.info.get("fallback")]
             assert fallback, (n, seed)
-            # one annotation dict per fallback subtree, shared by its nodes
-            tops = [
-                node
-                for node in fallback
-                if node.parent_id is None
-                or not trace.nodes[node.parent_id].info.get("fallback")
-            ]
-            assert len({id(node.info) for node in fallback}) == len(tops)
+            # one annotation dict per distinct value, shared by every node
+            # that carries it, fallback subtrees of one round included
+            infos = [node.info for node in trace.nodes]
+            values = {tuple(info.items()) for info in infos}
+            assert len({id(info) for info in infos}) == len(values)
+
+
+def test_build_trace_nodes_view():
+    tree, trace = build_greedy_l1(IP4)
+    nodes = trace.nodes
+    assert len(nodes) == tree.size()
+    listed = list(nodes)
+    assert [node.node_id for node in listed] == list(range(len(nodes)))
+    assert nodes[0] == listed[0] and nodes[0].parent_id is None and nodes[0].branch is None
+    assert nodes[-1] == listed[-1] == nodes[len(nodes) - 1]
+    assert nodes[1:4] == listed[1:4] and nodes[::-2] == listed[::-2]
+    for index in (len(nodes), -len(nodes) - 1):
+        with pytest.raises(IndexError):
+            nodes[index]
+    for node in listed[1:]:
+        parent = nodes[node.parent_id]
+        assert parent.mask is not None and node.branch in (0, 1)
+    leaves = [node for node in listed if node.mask is None]
+    assert len(leaves) == tree.num_leaves()
+    with pytest.raises(TypeError):
+        nodes[0] = listed[0]
+
+
+def test_build_trace_column_overflow_raises():
+    # Columns are as narrow as the bounds at n allow; the widest is l1_num
+    # <= 2^(1.5n) <= 2^36 at N_MAX, on int64.  A value that does not fit is
+    # refused, never wrapped, and the trace keeps its earlier nodes.
+    trace = BuildTrace(n=24, denom_exp=24)
+    trace.add(parent_id=None, branch=None, mask=1, l0=1, l1_num=1 << 36, info={})
+    with pytest.raises(OverflowError):
+        trace.add(parent_id=0, branch=0, mask=None, l0=1, l1_num=1 << 63, info={})
+    trace.add(parent_id=0, branch=1, mask=None, l0=1, l1_num=(1 << 63) - 1, info={})
+    small = BuildTrace(n=4, denom_exp=4)
+    with pytest.raises(OverflowError):
+        small.add(parent_id=None, branch=None, mask=1 << 40, l0=1, l1_num=16, info={})
+    assert [(node.parent_id, node.branch, node.l1_num) for node in trace.nodes] == [
+        (None, None, 1 << 36),
+        (0, 1, (1 << 63) - 1),
+    ]
+    assert len(small.nodes) == 0
 
 
 def test_builders_ip4_shapes():
@@ -306,26 +346,67 @@ def test_degree_drop_is_shift_free(data):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rref_frames_are_kernels_with_oracle_verdicts(n):
-    # Every candidate the search can examine at this n: its carried frame
-    # spans the kernel of its masks, and the packed verdict on the frame's
-    # points is the brute-force one.
+    # Every candidate the search can examine at this n: its kernel points
+    # are the 2^(n-k) distinct points of the kernel of its rows, and the
+    # batched verdict on them is the brute-force one.
     fs = [generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
           for d in range(1, min(n, 3) + 1) for seed in (1, 2)]
     fs = [f for f in fs if not f.is_constant()]
     assert fs
     tables = [[int(v) for v in f.table] for f in fs]
     degrees = [deg_oracle(t) for t in tables]
-    checkers = [pdt_module._DegreeDropChecker(f) for f in fs]
     for k in range(1, n + 1):
-        for masks, frame in pdt_module._rref_bases(n, k):
-            points = frame.points()
-            listed = points.tolist()
-            assert len(listed) == len(set(listed)) == 1 << (n - k)
+        candidates = list(pdt_module._rref_bases(n, k))
+        points = pdt_module._kernel_points(candidates, n)
+        assert points.shape == (1 << (n - k), len(candidates))
+        verdicts = []
+        for f, d in zip(fs, degrees):
+            heavy = np.flatnonzero(popcounts(n - k) >= d)
+            verdicts.append(pdt_module._drops(f.table, points, heavy).tolist())
+        for i, (masks, pivots) in enumerate(candidates):
+            assert pivots == tuple(t & -t for t in masks)
+            listed = points[:, i].tolist()
+            assert len(set(listed)) == 1 << (n - k)
             assert all(dot(t, x) == 0 for t in masks for x in listed)
             constraints = [(t, 0) for t in masks]
-            for table, d, checker in zip(tables, degrees, checkers):
+            for table, d, got in zip(tables, degrees, verdicts):
                 expect = deg_oracle(subspace_table(table, constraints)) < d
-                assert checker.drops_on(points) == expect, (masks, table)
+                assert got[i] == expect, (masks, table)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rref_bases_are_the_reference_sequence(n):
+    for k in range(1, n + 1):
+        rows = [masks for masks, _ in pdt_module._rref_bases(n, k)]
+        assert rows == list(rref_bases_reference(n, k))
+
+
+_FIRST_DROP_CASES = [("random_poly", {"n": n, "d": min(n, 3), "seed": 1}) for n in range(2, 9)] + [
+    ("bent_ip", {"k": 4}),
+    ("bent_ip", {"k": 6}),
+    ("majority", {"n": 5}),
+    ("majority", {"n": 7}),
+    ("random_poly", {"n": 13, "d": 3, "seed": 1}),
+]
+
+
+@pytest.mark.parametrize("kind,params", _FIRST_DROP_CASES)
+def test_first_drop_matches_per_candidate_reference(kind, params):
+    # Chunks keep the candidate order and stop at the budget, so the batched
+    # search returns the same first witness and the same NotFound text as
+    # testing one candidate at a time, across chunk boundaries (16, 32, ...).
+    f = generate(FamilySpec(kind, params))
+
+    def outcome(search, max_codim, budget):
+        try:
+            return search(f, max_codim, budget)
+        except (NotFound, TooLarge) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    for max_codim in (0, 1, 2, 3, 4, 6):
+        for budget in (None, 0, 1, 15, 16, 17, 31, 32, 33, 100, 50_000):
+            got = outcome(pdt_module._first_drop, max_codim, budget)
+            assert got == outcome(first_drop_reference, max_codim, budget), (max_codim, budget)
 
 
 def test_rank_witness_order_is_ascending_tuple():
