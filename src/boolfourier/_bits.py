@@ -75,17 +75,20 @@ def popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
-def span_points(vectors: Sequence[int], shift: int = 0) -> np.ndarray:
+def span_points(vectors: Sequence[int] | np.ndarray, shift: int = 0) -> np.ndarray:
     """Every point of the coset ``shift + span(vectors)``, indexed by subset.
 
     Entry i is ``shift`` XOR the vectors[j] over the set bits j of i.  The
     array is filled by doubling: the entries below 2**j, XORed with
     vectors[j], give the entries from 2**j to 2**(j+1), so one pass per
-    vector writes each of the 2**k entries once, with no other array.
+    vector writes each of the 2**k entries once, with no other array.  A
+    list fills intp; a (k, count) array fills one coset per column, in its dtype.
     """
-    pts = np.empty(1 << len(vectors), dtype=np.intp)
+    if not isinstance(vectors, np.ndarray):
+        vectors = np.array(vectors, dtype=np.intp)
+    pts = np.empty((1 << len(vectors), *vectors.shape[1:]), dtype=vectors.dtype)
     pts[0] = shift
     for j, v in enumerate(vectors):
         half = 1 << j
-        np.bitwise_xor(pts[:half], np.intp(v), out=pts[half : 2 * half])
+        np.bitwise_xor(pts[:half], v, out=pts[half : 2 * half])
     return pts

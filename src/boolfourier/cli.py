@@ -278,11 +278,13 @@ def _cmd_pdt_check(args) -> int:
     try:
         with open(args.tree) as fh:
             obj = json.load(fh)
+        tree = tree_from_dict(obj)
     except OSError as exc:
         raise InvalidTree(f"cannot read tree file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidTree(f"tree file is not valid JSON: {exc}") from exc
-    tree = tree_from_dict(obj)
+    except RecursionError as exc:
+        raise InvalidTree("tree file is nested too deeply") from exc
     report = pdt_check(f, tree)
     _emit(
         {

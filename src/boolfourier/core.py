@@ -230,47 +230,50 @@ class HypercontractivityResult:
 
 
 def _butterfly_level(a: np.ndarray, h: int) -> None:
-    """One in-place Walsh-Hadamard level: (u, v) -> (u + v, u - v) at stride h.
+    """One in-place Walsh-Hadamard level along axis 0: (u, v) -> (u + v, u - v) at stride h.
 
     Each output is a signed sum of two inputs, so the level at most doubles
     the largest magnitude; callers pick a dtype that holds the doubled value.
     """
-    b = a.reshape(-1, 2, h)
-    top = b[:, 0, :].copy()
-    b[:, 0, :] += b[:, 1, :]
-    np.subtract(top, b[:, 1, :], out=b[:, 1, :])
+    b = a.reshape(-1, 2, h, *a.shape[1:])
+    top = b[:, 0].copy()
+    b[:, 0] += b[:, 1]
+    np.subtract(top, b[:, 1], out=b[:, 1])
 
 
 def _butterfly_sum(table: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard butterfly over a copy of a signed integer array."""
+    """Walsh-Hadamard butterfly along axis 0 over a copy of a signed integer array."""
     a = table.copy()
     h = 1
-    while h < a.size:
+    while h < len(a):
         _butterfly_level(a, h)
         h <<= 1
     return a
 
 
-def _byte_rows(kernel) -> np.ndarray:
-    """Apply a three-level table kernel to every byte: a 256 x 8 table.
+def _mobius_levels(a: np.ndarray) -> np.ndarray:
+    """In-place GF(2) Moebius butterfly along axis 0: (u, v) -> (u, u ^ v) at each stride.
 
-    Row b is ``kernel`` applied to the bits of b (bit i is entry i, as
-    ``np.packbits(..., bitorder="little")`` packs them).
+    ``a`` must be C-contiguous, so that each reshape is a view of it.
     """
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    for h in (1, 2, 4):
-        b = bits.reshape(256, -1, 2, h)
-        b[:, :, 0, :], b[:, :, 1, :] = kernel(b[:, :, 0, :], b[:, :, 1, :])
-    return bits
+    h = 1
+    while h < len(a):
+        b = a.reshape(-1, 2, h, *a.shape[1:])
+        b[:, 1] ^= b[:, 0]
+        h <<= 1
+    return a
 
 
-# The first three butterfly levels of every byte of a packed table.  WHT rows
-# are character sums of 8 bits, |v| <= 2**3, so int8 holds them; each row is
-# viewed as one int64 word, which makes the gather a 1-D take.  Moebius rows
-# are 0/1 and pack back into one byte.
-_WHT_BYTE = _byte_rows(lambda u, v: (u + v, u - v)).astype(np.int8).view(np.int64).ravel()
+# The first three butterfly levels of every byte of a packed table, down the
+# (8, 256) matrix whose column b holds the bits of b as ``np.packbits(...,
+# bitorder="little")`` packs them.  WHT sums of 8 bits fit int8, and each
+# column is viewed as one int64 word, which makes the gather a 1-D take.
+_WHT_BYTE = np.ascontiguousarray(
+    _butterfly_sum(((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.int8)).T
+).view(np.int64).ravel()
 _MOBIUS_BYTE = np.packbits(
-    _byte_rows(lambda u, v: (u, u ^ v)).astype(np.uint8), axis=1, bitorder="little"
+    _mobius_levels(((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint8)),
+    axis=0, bitorder="little",
 ).ravel()
 
 # Last stride h of each narrow pass of ``wht``: after the level at stride h
@@ -354,12 +357,7 @@ def _xor_butterfly(table: np.ndarray) -> np.ndarray:
     in place, and the result is unpacked.
     """
     size = table.size
-    packed = _MOBIUS_BYTE[np.packbits(table, bitorder="little")]
-    h = 1
-    while h < packed.size:
-        b = packed.reshape(-1, 2, h)
-        b[:, 1, :] ^= b[:, 0, :]
-        h <<= 1
+    packed = _mobius_levels(_MOBIUS_BYTE[np.packbits(table, bitorder="little")])
     return np.unpackbits(packed, bitorder="little")[:size]
 
 

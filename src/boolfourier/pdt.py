@@ -17,7 +17,8 @@ coordinates through ``_Frame.local``.  Both norm-halving sub-certificates
 are folded on the outer frame, so they come back in original coordinates.
 The degree-drop search needs no frame: ``_rref_bases`` yields each
 candidate's rows with their pivots, which give its kernel directly, and
-candidates are tested in chunks (``_kernel_points`` and ``_drops``).
+candidates are tested in chunks: ``_kernel_points`` fills a chunk's kernels
+with ``_bits.span_points``, and ``_drops`` runs ``core._mobius_levels``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from ._bits import (
     lex_key,
     mask_to_string,
     popcounts,
+    span_points,
     string_to_mask,
 )
 from .core import (
     BooleanFunction,
     Spectrum,
+    _mobius_levels,
     deg2,
     to_pm_spectrum,
     wht,
@@ -640,10 +643,10 @@ def _kernel_points(candidates: Sequence[_Candidate], n: int) -> np.ndarray:
 
     For each free (non-pivot) coordinate j the kernel vector is e_j plus the
     pivot p_i of every row t_i with bit j set; the rows vanish on it because
-    each is zero at the other rows' pivots.  Points are filled by XOR
-    doubling along the vectors, on int16 since n <= _SEARCH_N_LIMIT; the
-    candidates run along the contiguous axis, so every step is one long
-    XOR.
+    each is zero at the other rows' pivots.  ``span_points`` fills the
+    points from the (n-k, candidates) vector array, on int16 since
+    n <= _SEARCH_N_LIMIT; the candidates run along the contiguous axis, so
+    every doubling step is one long XOR.
     """
     count = len(candidates)
     k = len(candidates[0][0])
@@ -654,29 +657,16 @@ def _kernel_points(candidates: Sequence[_Candidate], n: int) -> np.ndarray:
     hits = (rows[:, :, None] & bit) != 0
     vectors = (hits * pivots[:, :, None]).sum(axis=1, dtype=np.int16) | bit
     free = (pivots.sum(axis=1, dtype=np.int16)[:, None] & bit) == 0
-    vectors = vectors[free].reshape(count, n - k).T
-    pts = np.empty((1 << (n - k), count), dtype=np.int16)
-    pts[0] = 0
-    for j, v in enumerate(vectors):
-        half = 1 << j
-        np.bitwise_xor(pts[:half], v, out=pts[half : 2 * half])
-    return pts
+    return span_points(vectors[free].reshape(count, n - k).T)
 
 
 def _drops(table: np.ndarray, pts: np.ndarray, heavy: np.ndarray) -> np.ndarray:
     """Per column of ``pts``: no monomial of weight >= d survives on its points.
 
     ``heavy`` lists the monomials (rows) of weight >= d.  One gather, then
-    the GF(2) Moebius butterfly down the columns.
+    ``core._mobius_levels`` down the columns.
     """
-    vals = table[pts]
-    size, count = vals.shape
-    h = 1
-    while h < size:
-        v = vals.reshape(-1, 2, h, count)
-        v[:, 1] ^= v[:, 0]
-        h <<= 1
-    return ~vals[heavy].any(axis=0)
+    return ~_mobius_levels(table[pts])[heavy].any(axis=0)
 
 
 # A chunk starts at _CHUNK_START candidates and doubles, up to _CHUNK_POINTS
@@ -1010,7 +1000,7 @@ def _node_from_dict(obj: dict, n: int) -> PdtNodeOrLeaf:
         raise InvalidTree("tree nodes must be JSON objects")
     if "value" in obj:
         value = obj["value"]
-        if value not in (0, 1):
+        if isinstance(value, bool) or value not in (0, 1):
             raise InvalidTree(f"leaf value {value!r} not a bit")
         return PdtLeaf(value)
     if "query" not in obj or "child0" not in obj or "child1" not in obj:
@@ -1030,7 +1020,7 @@ def tree_from_dict(obj: dict) -> Pdt:
     if not isinstance(obj, dict) or "n" not in obj or "root" not in obj:
         raise InvalidTree("tree JSON needs n and root")
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidTree(f"invalid n {n!r}")
     return Pdt(n, _node_from_dict(obj["root"], n))
 

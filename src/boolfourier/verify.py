@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import DependentInput, InvalidDegree, InvalidSpec, ZeroDensity
 from .gf2 import Gf2Matrix, LinearMap, apply_linear, gf2_rank
-from .pdt import build_greedy_l1, build_heavy_hitter, build_span_query
+from .pdt import build_greedy_l1, build_heavy_hitter
 from .restrict import fold, spectrum_split
 
 __all__ = [
@@ -79,9 +79,10 @@ def _fold_directions(n: int) -> List[int]:
 def invariant_report(f: BooleanFunction) -> InvariantReport:
     """Every paper inequality checkable for one function, as exact records.
 
-    Tree-dependent checks use the best of the greedy, heavy-hitter and
-    span-query builders (degree-reduce is excluded: its subspace search has
-    a budget and would only add depth, never improve it).
+    Tree-dependent checks use the shallowest of the greedy and heavy-hitter
+    trees and the span-query depth, which is the GF(2) rank of the support
+    (degree-reduce is excluded: its subspace search has a budget and would
+    only add depth, never improve it).
     """
     checks: List[CheckRecord] = []
     n = f.n
@@ -139,11 +140,12 @@ def invariant_report(f: BooleanFunction) -> InvariantReport:
     else:
         checks.append(CheckRecord("granularity_bound", stats_pm.granularity, None, True))
 
-    # l0 <= 4^depth for the best built tree
+    # l0 <= 4^depth for the shallowest tree; every path of the span-query
+    # tree queries every basis mask, so its depth is the support's rank
     depth = min(
         build_greedy_l1(f)[0].depth(),
         build_heavy_hitter(f)[0].depth(),
-        build_span_query(f)[0].depth(),
+        gf2_rank(spec.coeffs),
     )
     checks.append(
         CheckRecord("sparsity_vs_depth", l0, 4 ** depth, l0 <= 4 ** depth)

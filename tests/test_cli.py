@@ -244,6 +244,35 @@ def test_pdt_check_mismatch_exit_1(capsys, tmp_path):
     assert payload["first_mismatch"] == 1
 
 
+def test_pdt_check_deeply_nested_tree_exit_2(capsys, tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    node = '{"value": 0}'
+    for _ in range(5000):
+        node = f'{{"query": "1", "child0": {node}, "child1": {{"value": 1}}}}'
+    tree_file = tmp_path / "deep.json"
+    tree_file.write_text(f'{{"n": 1, "root": {node}}}')
+    code, out, err = run(capsys, "pdt", "check", "anf:1:x1", str(tree_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"n": 1, "root": {"query": "1", "child0": {"value": False}, "child1": {"value": True}}},
+        {"n": True, "root": {"query": "1", "child0": {"value": 0}, "child1": {"value": 1}}},
+    ],
+    ids=["bool-leaf", "bool-n"],
+)
+def test_pdt_check_boolean_fields_exit_2(capsys, tmp_path, tree):
+    # tree.schema.json rejects booleans where it asks for a bit or an integer
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(tree))
+    code, out, err = run(capsys, "pdt", "check", "anf:1:x1", str(tree_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # File outputs.
 

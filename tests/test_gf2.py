@@ -192,6 +192,15 @@ def test_span_points_match_enumeration(vectors, shift):
     pts = span_points(vectors, shift)
     assert pts.dtype == np.intp
     assert pts.tolist() == [pt for _, pt in sorted(expected)]
+    # a (k, count) array fills one coset per column, in the array's dtype
+    columns = np.array([vectors, [v ^ 3 for v in vectors], vectors[::-1]], dtype=np.int16)
+    columns = columns.reshape(3, len(vectors)).T
+    pts = span_points(columns, shift)
+    assert pts.dtype == np.int16
+    assert pts.shape == (1 << len(vectors), 3)
+    assert pts[:, 0].tolist() == [pt for _, pt in sorted(expected)]
+    for i in range(3):
+        assert pts[:, i].tolist() == span_points(columns[:, i].tolist(), shift).tolist()
 
 
 # ---------------------------------------------------------------------------

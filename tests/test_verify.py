@@ -20,6 +20,9 @@ from boolfourier import (
     invariant_report,
 )
 from boolfourier import core
+from boolfourier.gf2 import gf2_rank
+from boolfourier.pdt import build_span_query
+from helpers import full_corpus
 
 EXPECTED_CHECKS = [
     "parseval",
@@ -64,7 +67,8 @@ def test_invariant_report_overall(f):
 
 def test_invariant_report_transforms_f_once(monkeypatch):
     # One transform of f for the report's own checks, one in each of the
-    # three tree builders and one of the linearly substituted g.
+    # two fold builders and one of the linearly substituted g; the
+    # span-query depth is the rank of the report's own spectrum.
     calls = []
     real_wht = core.wht
 
@@ -76,7 +80,13 @@ def test_invariant_report_transforms_f_once(monkeypatch):
         if name.split(".")[0] == "boolfourier" and getattr(module, "wht", None) is real_wht:
             monkeypatch.setattr(module, "wht", counting_wht)
     invariant_report(generate(FamilySpec("random_poly", {"n": 6, "d": 3, "seed": 2})))
-    assert calls == [6] * 5
+    assert calls == [6] * 4
+
+
+def test_span_query_depth_is_support_rank():
+    # invariant_report takes the span-query depth without building the tree
+    for label, f in full_corpus():
+        assert gf2_rank(core.wht(f).coeffs) == build_span_query(f)[0].depth(), label
 
 
 def test_invariant_report_matches_public_checks():
