@@ -82,11 +82,7 @@ def _parse_int(text: str, pos: int, what: str) -> int:
     return int(text)
 
 
-def _parse_tt(n_str: str, hex_str: str, base: int) -> BooleanFunction:
-    n = _parse_int(n_str, base, "n")
-    if not 1 <= n <= N_MAX:
-        raise _spec_error(f"n must be in 1..{N_MAX}, got {n}", base)
-    hex_pos = base + len(n_str) + 1
+def _parse_tt(n: int, hex_str: str, hex_pos: int) -> BooleanFunction:
     want = -(-(1 << n) // 4)  # ceil(2^n / 4) hex digits
     if len(hex_str) != want:
         raise _spec_error(
@@ -102,13 +98,9 @@ def _parse_tt(n_str: str, hex_str: str, base: int) -> BooleanFunction:
     return BooleanFunction.from_int(n, value)
 
 
-def _parse_anf(n_str: str, poly: str, base: int) -> BooleanFunction:
+def _parse_anf(n: int, poly: str, poly_pos: int) -> BooleanFunction:
     from .core import ANF, anf_to_function
 
-    n = _parse_int(n_str, base, "n")
-    if not 1 <= n <= N_MAX:
-        raise _spec_error(f"n must be in 1..{N_MAX}, got {n}", base)
-    poly_pos = base + len(n_str) + 1
     if not poly:
         raise _spec_error("empty polynomial", poly_pos)
     monomials: set[int] = set()
@@ -192,16 +184,16 @@ def parse_function_spec(text: str) -> BooleanFunction:
     if not sep:
         raise _spec_error("spec must start with tt:, anf: or family:", 0)
     base = len(head) + 1
-    if head == "tt":
-        n_str, sep2, hex_str = rest.partition(":")
+    if head in ("tt", "anf"):
+        n_str, sep2, body = rest.partition(":")
         if not sep2:
-            raise _spec_error("tt spec must look like tt:<n>:<hex>", base)
-        return _parse_tt(n_str, hex_str, base)
-    if head == "anf":
-        n_str, sep2, poly = rest.partition(":")
-        if not sep2:
-            raise _spec_error("anf spec must look like anf:<n>:<poly>", base)
-        return _parse_anf(n_str, poly, base)
+            shape = "hex" if head == "tt" else "poly"
+            raise _spec_error(f"{head} spec must look like {head}:<n>:<{shape}>", base)
+        n = _parse_int(n_str, base, "n")
+        if not 1 <= n <= N_MAX:
+            raise _spec_error(f"n must be in 1..{N_MAX}, got {n}", base)
+        parse_body = _parse_tt if head == "tt" else _parse_anf
+        return parse_body(n, body, base + len(n_str) + 1)
     if head == "family":
         return _parse_family(rest, base)[0]
     raise _spec_error(f"unknown spec kind {head!r}", 0)
@@ -401,27 +393,20 @@ def _sweep_functions(args) -> List[Tuple[str, int, int, BooleanFunction]]:
             f"sweep supports families {', '.join(_SWEEP_FAMILIES)}; got {kind!r}"
         )
     ns = _parse_range(args.n, "--n")
+    seeds = _parse_range(args.seeds, "--seeds") if kind == "random_poly" else (0,)
     out = []
     for n in ns:
-        if kind == "bent_ip":
-            if n % 2:
-                print(f"note: skipping odd n={n} for bent_ip", file=sys.stderr)
-                continue
-            out.append((f"family:bent_ip(k={n})", n, 0, generate(FamilySpec("bent_ip", {"k": n}))))
-        elif kind == "majority":
-            if n % 2 == 0:
-                print(f"note: skipping even n={n} for majority", file=sys.stderr)
-                continue
-            out.append((f"family:majority(n={n})", n, 0, generate(FamilySpec("majority", {"n": n}))))
-        elif kind == "random_poly":
-            d = min(args.degree, n)
-            for seed in _parse_range(args.seeds, "--seeds"):
-                spec = FamilySpec("random_poly", {"n": n, "d": d, "seed": seed})
-                out.append(
-                    (f"family:random_poly(n={n},d={d},seed={seed})", n, seed, generate(spec))
-                )
-        else:
-            out.append((f"family:{kind}(n={n})", n, 0, generate(FamilySpec(kind, {"n": n}))))
+        if (kind == "bent_ip" and n % 2) or (kind == "majority" and n % 2 == 0):
+            parity = "odd" if n % 2 else "even"
+            print(f"note: skipping {parity} n={n} for {kind}", file=sys.stderr)
+            continue
+        for seed in seeds:
+            if kind == "random_poly":
+                params = {"n": n, "d": min(args.degree, n), "seed": seed}
+            else:
+                params = {"k" if kind == "bent_ip" else "n": n}
+            family = f"family:{kind}({','.join(f'{k}={v}' for k, v in params.items())})"
+            out.append((family, n, seed, generate(FamilySpec(kind, params))))
     return out
 
 

@@ -2,7 +2,9 @@
 
 Every generator is deterministic; random_poly is seeded and its monomial
 draws are part of this package's fixture contract (golden files depend on
-them), not an external standard.
+them), not an external standard.  One table, ``_FAMILIES``, maps each kind
+to its generator and parameter names: ``FAMILY_KINDS`` and ``generate``
+both read it.
 """
 
 from __future__ import annotations
@@ -32,17 +34,6 @@ __all__ = [
     "affine_indicator",
     "FAMILY_KINDS",
 ]
-
-FAMILY_KINDS = (
-    "bent_ip",
-    "and",
-    "or",
-    "parity",
-    "majority",
-    "symmetric",
-    "random_poly",
-    "affine_indicator",
-)
 
 
 @dataclass(frozen=True)
@@ -147,41 +138,28 @@ def affine_indicator(
     return BooleanFunction(n, ok.astype(np.uint8))
 
 
+# kind -> (generator, parameter names in call order)
+_FAMILIES = {
+    "bent_ip": (bent_ip, ("k",)),
+    "and": (and_fn, ("n",)),
+    "or": (or_fn, ("n",)),
+    "parity": (parity_fn, ("n",)),
+    "majority": (majority_fn, ("n",)),
+    "symmetric": (symmetric_fn, ("values",)),
+    "random_poly": (random_poly, ("n", "d", "seed")),
+    "affine_indicator": (affine_indicator, ("constraints", "n")),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
 def generate(spec: FamilySpec) -> BooleanFunction:
     """Build the function a FamilySpec names; InvalidSpec on bad parameters."""
-    kind, p = spec.kind, dict(spec.params)
-
-    def take(*names):
-        missing = [x for x in names if x not in p]
-        if missing:
-            raise InvalidSpec(f"{kind} needs parameter(s) {', '.join(missing)}")
-        extra = set(p) - set(names)
-        if extra:
-            raise InvalidSpec(f"{kind} got unexpected parameter(s) {', '.join(sorted(extra))}")
-        return [p[x] for x in names]
-
-    if kind == "bent_ip":
-        (k,) = take("k")
-        return bent_ip(k)
-    if kind == "and":
-        (n,) = take("n")
-        return and_fn(n)
-    if kind == "or":
-        (n,) = take("n")
-        return or_fn(n)
-    if kind == "parity":
-        (n,) = take("n")
-        return parity_fn(n)
-    if kind == "majority":
-        (n,) = take("n")
-        return majority_fn(n)
-    if kind == "symmetric":
-        (values,) = take("values")
-        return symmetric_fn(values)
-    if kind == "random_poly":
-        n, d, seed = take("n", "d", "seed")
-        return random_poly(n, d, seed)
-    if kind == "affine_indicator":
-        constraints, n = take("constraints", "n")
-        return affine_indicator(constraints, n)
-    raise InvalidSpec(f"unknown family kind {kind!r}")
+    kind, params = spec.kind, spec.params
+    build, names = _FAMILIES[kind]
+    missing = [x for x in names if x not in params]
+    if missing:
+        raise InvalidSpec(f"{kind} needs parameter(s) {', '.join(missing)}")
+    extra = set(params) - set(names)
+    if extra:
+        raise InvalidSpec(f"{kind} got unexpected parameter(s) {', '.join(sorted(extra))}")
+    return build(*(params[x] for x in names))

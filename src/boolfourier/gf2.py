@@ -25,15 +25,27 @@ __all__ = [
 ]
 
 
+def _greedy_basis(rows: Iterable[int]) -> List[int]:
+    """The rows independent of the rows before them, in input order.
+
+    ``ech`` holds each kept row reduced against those kept before it, so
+    their highest bits are distinct and one pass reduces a new row.
+    """
+    basis: List[int] = []
+    ech: List[int] = []
+    for row in rows:
+        r = row
+        for e in ech:
+            r = min(r, r ^ e)
+        if r:
+            basis.append(row)
+            ech.append(r)
+    return basis
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank of a set of bitmask rows over GF(2)."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-    return len(basis)
+    return len(_greedy_basis(rows))
 
 
 def echelon_pivots(rows: Sequence[int]) -> tuple[List[int], List[int]]:

@@ -57,6 +57,7 @@ from .errors import (
     NotFound,
     TooLarge,
 )
+from .gf2 import _greedy_basis
 from .restrict import (
     AffineConstraint,
     _Frame,
@@ -119,6 +120,15 @@ PdtNodeOrLeaf = Union[PdtLeaf, PdtNode]
 _LEAVES = (PdtLeaf(0), PdtLeaf(1))
 
 
+def _shape(node: PdtNodeOrLeaf) -> Tuple[int, int, int]:
+    """(depth, node count, leaf count) of the subtree at ``node``."""
+    if isinstance(node, PdtLeaf):
+        return 0, 1, 1
+    d0, s0, c0 = _shape(node.child0)
+    d1, s1, c1 = _shape(node.child1)
+    return 1 + max(d0, d1), 1 + s0 + s1, c0 + c1
+
+
 class Pdt:
     """A parity decision tree over {0,1}^n with query masks in original coords."""
 
@@ -154,30 +164,14 @@ class Pdt:
         walk(self.root, [])
 
     def depth(self) -> int:
-        def d(node: PdtNodeOrLeaf) -> int:
-            if isinstance(node, PdtLeaf):
-                return 0
-            return 1 + max(d(node.child0), d(node.child1))
-
-        return d(self.root)
+        return _shape(self.root)[0]
 
     def size(self) -> int:
         """Total node count, internal nodes plus leaves."""
-
-        def s(node: PdtNodeOrLeaf) -> int:
-            if isinstance(node, PdtLeaf):
-                return 1
-            return 1 + s(node.child0) + s(node.child1)
-
-        return s(self.root)
+        return _shape(self.root)[1]
 
     def num_leaves(self) -> int:
-        def c(node: PdtNodeOrLeaf) -> int:
-            if isinstance(node, PdtLeaf):
-                return 1
-            return c(node.child0) + c(node.child1)
-
-        return c(self.root)
+        return _shape(self.root)[2]
 
     def leaf_paths(self) -> Iterator[Tuple[List[AffineConstraint], int]]:
         """Yield (path constraints, leaf value) for every leaf, left to right."""
@@ -552,16 +546,7 @@ def _span_basis(spectrum: Spectrum) -> List[int]:
     the same basis.
     """
     n = spectrum.n
-    basis: List[int] = []
-    ech: List[int] = []
-    for s in sorted(spectrum.coeffs, key=lambda m: lex_key(m, n)):
-        r = s
-        for e in ech:
-            r = min(r, r ^ e)
-        if r:
-            basis.append(s)
-            ech.append(r)
-    return basis
+    return _greedy_basis(sorted(spectrum.coeffs, key=lambda m: lex_key(m, n)))
 
 
 def _choose_span(spec: Spectrum, frame: _Frame, state):
@@ -998,13 +983,14 @@ def tree_to_dict(tree: Pdt) -> dict:
 def _node_from_dict(obj: dict, n: int) -> PdtNodeOrLeaf:
     if not isinstance(obj, dict):
         raise InvalidTree("tree nodes must be JSON objects")
-    if "value" in obj:
+    # the key sets tree.schema.json allows, with no extra keys
+    if obj.keys() == {"value"}:
         value = obj["value"]
         if isinstance(value, bool) or value not in (0, 1):
             raise InvalidTree(f"leaf value {value!r} not a bit")
         return PdtLeaf(value)
-    if "query" not in obj or "child0" not in obj or "child1" not in obj:
-        raise InvalidTree("internal nodes need query, child0 and child1")
+    if obj.keys() != {"query", "child0", "child1"}:
+        raise InvalidTree("tree nodes need exactly value, or query, child0 and child1")
     bits = obj["query"]
     if not isinstance(bits, str) or len(bits) != n:
         raise InvalidTree(f"query {bits!r} is not a length-{n} bitstring")
@@ -1017,8 +1003,8 @@ def _node_from_dict(obj: dict, n: int) -> PdtNodeOrLeaf:
 
 def tree_from_dict(obj: dict) -> Pdt:
     """Rebuild a tree from its JSON mirror, validating structure."""
-    if not isinstance(obj, dict) or "n" not in obj or "root" not in obj:
-        raise InvalidTree("tree JSON needs n and root")
+    if not isinstance(obj, dict) or obj.keys() != {"n", "root"}:
+        raise InvalidTree("tree JSON needs exactly the keys n and root")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidTree(f"invalid n {n!r}")

@@ -92,13 +92,9 @@ def invariant_report(f: BooleanFunction) -> InvariantReport:
     ones = f.ones_count()
 
     # Parseval (0/1 range): sum of squared numerators = 2^n * sum f(x)
+    energy = sum(v * v for v in spec.coeffs.values())
     checks.append(
-        CheckRecord(
-            "parseval",
-            sum(v * v for v in spec.coeffs.values()),
-            (1 << n) * ones,
-            sum(v * v for v in spec.coeffs.values()) == (1 << n) * ones,
-        )
+        CheckRecord("parseval", energy, (1 << n) * ones, energy == (1 << n) * ones)
     )
 
     # Boolean spectrum characterization: (f_pm)^2 = 1 as exact convolution

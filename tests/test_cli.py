@@ -1,5 +1,6 @@
 """Command-line surface: golden bytes, schema conformance, exit codes."""
 
+import csv
 import json
 import time
 from importlib import resources
@@ -194,6 +195,25 @@ def test_invalid_specs_exit_2(capsys, spec):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ("tt:2", "tt spec must look like tt:<n>:<hex> (position 3)"),
+        ("anf:3", "anf spec must look like anf:<n>:<poly> (position 4)"),
+        ("tt:x:8", "n must be an integer, got 'x' (position 3)"),
+        ("anf:0:1", "n must be in 1..24, got 0 (position 4)"),
+        ("tt:25:1", "n must be in 1..24, got 25 (position 3)"),
+        ("tt:3:g0", "invalid hex digit 'g' (position 5)"),
+        ("anf:4:x5", "variable x5 out of range 1..4 (position 6)"),
+        ("family:bent_ip(k=3)", "bent_ip needs even k, got 3 (position 15)"),
+        ("family:and(n=2,extra=1)", "unknown parameter 'extra' (position 15)"),
+    ],
+)
+def test_invalid_spec_error_line(capsys, spec, line):
+    code, out, err = run(capsys, "analyze", spec)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 def test_constant_rank_exit_2(capsys):
     code, _, err = run(capsys, "rank", "tt:2:0")
     assert code == 2
@@ -261,11 +281,17 @@ def test_pdt_check_deeply_nested_tree_exit_2(capsys, tmp_path):
     [
         {"n": 1, "root": {"query": "1", "child0": {"value": False}, "child1": {"value": True}}},
         {"n": True, "root": {"query": "1", "child0": {"value": 0}, "child1": {"value": 1}}},
+        {"n": 1, "root": {"query": "1", "child0": {"value": 0}, "child1": {"value": 1}}, "extra": 1},
+        {"n": 1, "root": {"value": 0, "query": "1", "child0": {"value": 0}, "child1": {"value": 1}}},
+        {"n": 1, "root": {"query": "1", "child0": {"value": 0, "note": 1}, "child1": {"value": 1}}},
     ],
-    ids=["bool-leaf", "bool-n"],
+    ids=["bool-leaf", "bool-n", "extra-top-key", "value-and-query", "extra-leaf-key"],
 )
 def test_pdt_check_boolean_fields_exit_2(capsys, tmp_path, tree):
-    # tree.schema.json rejects booleans where it asks for a bit or an integer
+    # tree.schema.json rejects booleans where it asks for a bit or an
+    # integer, and keys outside the leaf and internal-node key sets
+    with pytest.raises(jsonschema.ValidationError):
+        validate(json.dumps(tree), "tree")
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(json.dumps(tree))
     code, out, err = run(capsys, "pdt", "check", "anf:1:x1", str(tree_file))
@@ -333,6 +359,26 @@ def test_sweep_deterministic(capsys, tmp_path):
         assert code == 0
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "family, families, notes",
+    [
+        ("bent_ip", ["bent_ip(k=2)", "bent_ip(k=4)"], ["odd n=1", "odd n=3"]),
+        ("majority", ["majority(n=1)", "majority(n=3)"], ["even n=2", "even n=4"]),
+        ("and", [f"and(n={n})" for n in range(1, 5)], []),
+        ("or", [f"or(n={n})" for n in range(1, 5)], []),
+        ("parity", [f"parity(n={n})" for n in range(1, 5)], []),
+    ],
+)
+def test_sweep_family_column_and_skip_notes(capsys, tmp_path, family, families, notes):
+    path = tmp_path / "sw.csv"
+    argv = ["sweep", "--family", family, "--n", "1..4", "--strategies", "greedy-l1"]
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert err == "".join(f"note: skipping {x} for {family}\n" for x in notes)
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert [r["family"] for r in rows] == [f"family:{x}" for x in families]
 
 
 def test_family_spec_cli(capsys):

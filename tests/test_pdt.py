@@ -747,6 +747,14 @@ def test_tree_from_dict_validation():
         tree_from_dict({"n": 2, "root": {"query": "0", "child0": {"value": 0}, "child1": {"value": 1}}})
     with pytest.raises(InvalidTree):
         tree_from_dict({"n": 2, "root": {"query": "01", "child0": {"value": 0}}})
+    # keys tree.schema.json forbids
+    leaf = {"value": 0}
+    with pytest.raises(InvalidTree):
+        tree_from_dict({"n": 2, "root": leaf, "extra": 1})
+    with pytest.raises(InvalidTree):
+        tree_from_dict({"n": 2, "root": {**leaf, "query": "01", "child0": leaf, "child1": leaf}})
+    with pytest.raises(InvalidTree):
+        tree_from_dict({"n": 2, "root": {"value": 0, "note": 1}})
 
 
 def test_dot_output_frozen():
