@@ -71,8 +71,8 @@ def delete_bit(mask: int, pos: int) -> int:
 
 
 def popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask below 2**n as a small-int array."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+    """Popcount of every mask below 2**n, as uint8 (masks fit uint32 for n <= 32)."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 def span_points(vectors: Sequence[int] | np.ndarray, shift: int = 0) -> np.ndarray:

@@ -34,7 +34,7 @@ from ._bits import mask_to_string, string_to_mask
 from .core import N_MAX, BooleanFunction, deg2, spectral_stats, to_pm_spectrum, wht
 from .comm import matrix_rank_exact, simulate_protocol, verify_protocol, xor_matrix
 from .errors import BoolFourierError, InvalidSpec, InvalidTree, NotFound, TooLarge
-from .families import FAMILY_KINDS, FamilySpec, generate
+from .families import FAMILY_KINDS, FamilySpec, _check_n, generate
 from .pdt import (
     Certificate,
     build_degree_reduce,
@@ -46,6 +46,7 @@ from .pdt import (
     certificate_check,
     pdt_check,
     rank_exact,
+    _shape,
     tree_from_dict,
     tree_to_dict,
     tree_to_dot,
@@ -252,13 +253,14 @@ def _cmd_pdt_build(args) -> int:
     tree, _trace = STRATEGIES[args.strategy](f)
     if args.dot:
         _write_output(args.dot, args.out_dir, tree_to_dot(tree))
+    depth, size, leaves = _shape(tree.root)
     _emit(
         {
             "n": tree.n,
             "strategy": args.strategy,
-            "depth": tree.depth(),
-            "size": tree.size(),
-            "leaves": tree.num_leaves(),
+            "depth": depth,
+            "size": size,
+            "leaves": leaves,
             "tree": tree_to_dict(tree),
         }
     )
@@ -396,6 +398,7 @@ def _sweep_functions(args) -> List[Tuple[str, int, int, BooleanFunction]]:
     seeds = _parse_range(args.seeds, "--seeds") if kind == "random_poly" else (0,)
     out = []
     for n in ns:
+        _check_n(n)
         if (kind == "bent_ip" and n % 2) or (kind == "majority" and n % 2 == 0):
             parity = "odd" if n % 2 else "even"
             print(f"note: skipping {parity} n={n} for {kind}", file=sys.stderr)

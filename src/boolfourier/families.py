@@ -63,21 +63,17 @@ def bent_ip(k: int) -> BooleanFunction:
 
 def and_fn(n: int) -> BooleanFunction:
     n = _check_n(n)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    table[-1] = 1
-    return BooleanFunction(n, table)
+    return symmetric_fn([0] * n + [1])
 
 
 def or_fn(n: int) -> BooleanFunction:
     n = _check_n(n)
-    table = np.ones(1 << n, dtype=np.uint8)
-    table[0] = 0
-    return BooleanFunction(n, table)
+    return symmetric_fn([0] + [1] * n)
 
 
 def parity_fn(n: int) -> BooleanFunction:
     n = _check_n(n)
-    return BooleanFunction(n, (popcounts(n) & 1).astype(np.uint8))
+    return symmetric_fn([w & 1 for w in range(n + 1)])
 
 
 def majority_fn(n: int) -> BooleanFunction:
@@ -85,7 +81,7 @@ def majority_fn(n: int) -> BooleanFunction:
     n = _check_n(n)
     if n % 2 == 0:
         raise InvalidSpec(f"majority needs odd n, got {n}")
-    return BooleanFunction(n, (popcounts(n) > n // 2).astype(np.uint8))
+    return symmetric_fn([int(w > n // 2) for w in range(n + 1)])
 
 
 def symmetric_fn(values: Sequence[int]) -> BooleanFunction:

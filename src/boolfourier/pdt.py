@@ -44,6 +44,7 @@ from .core import (
     BooleanFunction,
     Spectrum,
     _mobius_levels,
+    _xor_butterfly,
     deg2,
     to_pm_spectrum,
     wht,
@@ -193,7 +194,8 @@ class Pdt:
         return self.n == other.n and self.root == other.root
 
     def __repr__(self) -> str:
-        return f"Pdt(n={self.n}, depth={self.depth()}, size={self.size()})"
+        depth, size, _ = _shape(self.root)
+        return f"Pdt(n={self.n}, depth={depth}, size={size})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,7 +375,7 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     outputs = _eval_all(tree)
     diff = np.nonzero(outputs != f.table)[0]
     correct = diff.size == 0
-    depth = tree.depth()
+    depth, size, _ = _shape(tree.root)
     if correct:
         l0 = wht(f).l0()
         if l0 > 4 ** depth:
@@ -383,7 +385,7 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     return PdtCheckReport(
         correct=correct,
         depth=depth,
-        size=tree.size(),
+        size=size,
         first_mismatch=None if correct else int(diff[0]),
     )
 
@@ -421,13 +423,17 @@ def _leaf_bit(spectrum: Spectrum) -> int:
     raise BoolFourierError("internal: spectrum is not a +/-1 constant")
 
 
-def _top_two(spectrum: Spectrum) -> Tuple[int, int]:
-    """The two largest-magnitude coefficients; ties by x1-first mask order."""
+def _greedy_step(spectrum: Spectrum) -> Tuple[int, int]:
+    """Greedy fold (t, b): t = a1 ^ a2 for the two largest-magnitude coefficients.
+
+    Ties go by x1-first mask order.  On branch b the merged coefficient is
+    |a1| + |a2|.
+    """
     n = spectrum.n
-    items = heapq.nsmallest(
+    (a1, c1), (a2, c2) = heapq.nsmallest(
         2, spectrum.coeffs.items(), key=lambda kv: (-abs(kv[1]), lex_key(kv[0], n))
     )
-    return items[0][0], items[1][0]
+    return a1 ^ a2, 0 if c1 * c2 > 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +508,7 @@ def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """
 
     def pick(spec: Spectrum):
-        a1, a2 = _top_two(spec)
-        return a1 ^ a2, {}
+        return _greedy_step(spec)[0], {}
 
     return _grow(f, _pm_of(f), _fold_chooser(pick), None)
 
@@ -683,31 +688,21 @@ def _first_drop(
     if n > _SEARCH_N_LIMIT:
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
     d = deg2(f)
-    examined = 0
+    left = max_candidates  # candidates the budget still allows; None: unbounded
     for k in range(1, min(max_codim, n) + 1):
         heavy = np.flatnonzero(popcounts(n - k) >= d)
         cap = _CHUNK_POINTS >> (n - k)
         bases = _rref_bases(n, k)
         size = min(_CHUNK_START, cap)
-        while True:
-            room = size
-            if max_candidates is not None:
-                room = max(0, min(size, max_candidates - examined))
-            chunk = list(islice(bases, room))
-            if chunk:
-                examined += len(chunk)
-                drops = _drops(f.table, _kernel_points(chunk, n), heavy)
-                if drops.any():
-                    return chunk[int(drops.argmax())][0]
-            if len(chunk) < room:
-                break  # codim k is done
-            if max_candidates is not None and examined >= max_candidates:
-                if next(bases, None) is not None:
-                    raise NotFound(
-                        f"candidate budget {max_candidates} exhausted at codim {k}"
-                    )
-                break
+        while chunk := list(islice(bases, size if left is None else min(size, left))):
+            drops = _drops(f.table, _kernel_points(chunk, n), heavy)
+            if drops.any():
+                return chunk[int(drops.argmax())][0]
+            if left is not None:
+                left -= len(chunk)
             size = min(2 * size, cap)
+        if left == 0 and next(bases, None) is not None:
+            raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
     raise NotFound(f"no degree drop within codimension {max_codim}")
 
 
@@ -807,9 +802,7 @@ def _greedy_fold(
     out: List[AffineConstraint] = []
     while True:
         if spec.l0() > 1:
-            a1, a2 = _top_two(spec)
-            t = a1 ^ a2
-            b = 0 if spec.coeffs[a1] * spec.coeffs[a2] > 0 else 1
+            t, b = _greedy_step(spec)
         else:
             t, b = next(iter(spec.coeffs), 0), 0
             if t == 0:
@@ -878,18 +871,18 @@ def cert_norm_halving_with_trace(
     g = f
     constraints: List[AffineConstraint] = []
     steps: List[HalvingStep] = []
-    while deg2(g) > 2:
-        m = g.n
-        t = None
-        # lex_key is bit reversal, an involution: this is x1-first order.
-        for cand in (lex_key(k, m) for k in range(1, 1 << m)):
-            h = derivative(g, cand)
-            if not h.is_constant():
-                t = cand
-                deriv = h
-                break
-        if t is None:
-            raise BoolFourierError("internal: no non-constant derivative at deg >= 2")
+    while True:
+        monomials = np.flatnonzero(_xor_butterfly(g.table))
+        weights = np.bitwise_count(monomials)
+        if not (weights > 2).any():
+            break
+        # The directions with a constant derivative form a subspace, since
+        # D_{a^b} g(x) = D_a g(x) ^ D_b g(x ^ a), and it holds e_j exactly
+        # when x_j is in no monomial of degree >= 2.  Every mask on
+        # x_{j+1}..x_m comes before e_j in x1-first order, so the first
+        # direction outside it is e_j for the highest such j.
+        t = 1 << (int(np.bitwise_or.reduce(monomials[weights >= 2])).bit_length() - 1)
+        deriv = derivative(g, t)
         # split the l1 numerator by <s, t>: l1_1 is the part off t's kernel
         l1_total = spec.l1_num()
         l1_1 = sum(abs(num) for s, num in spec.coeffs.items() if dot(s, t))

@@ -258,23 +258,19 @@ def _chang(spec: Spectrum, ones: int, eps_num: int) -> ChangResult:
     return ChangResult(span=span, bound=bound, holds=span < bound - 1e-12)
 
 
-def bound_B(d: int, m: float, c3: float = 9.0, b3: float = 5.0) -> float:
+def bound_B(d: int, m: float) -> float:
     """The depth recurrence B_d(m) = B_{d-1}(m^2) log2(m) + B_{d-1}(m) + 1.
 
-    Base case B_3(m) = c3 * log2(m + 1) + b3; the constants are configuration
-    for annotating sweeps, not asserted truths.
+    Base case B_3(m) = 9 * log2(m + 1) + 5; the constants annotate sweeps,
+    they are not asserted truths.
     """
     if not isinstance(d, int) or d < 3:
         raise InvalidDegree(f"bound_B needs integer d >= 3, got {d!r}")
     if m < 1:
         raise InvalidDegree(f"bound_B needs m >= 1, got {m!r}")
     if d == 3:
-        return c3 * math.log2(m + 1) + b3
-    return (
-        bound_B(d - 1, m * m, c3, b3) * math.log2(m)
-        + bound_B(d - 1, m, c3, b3)
-        + 1.0
-    )
+        return 9.0 * math.log2(m + 1) + 5.0
+    return bound_B(d - 1, m * m) * math.log2(m) + bound_B(d - 1, m) + 1.0
 
 
 def bound_B_leading(d: int, m: float) -> float:

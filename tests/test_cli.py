@@ -71,6 +71,21 @@ ANALYZE_TT1 = """\
 }
 """
 
+# a cubic on x1..x3 that ignores x4..x14: the derivative direction is x3
+CERT_NORM_HALVING_CUBIC14 = """\
+{
+  "checked": true,
+  "codim": 3,
+  "constraints": [
+    "01000000000000=1",
+    "10000000000000=1",
+    "00100000000000=0"
+  ],
+  "method": "norm-halving",
+  "value": 0
+}
+"""
+
 
 def test_analyze_and2_golden(capsys):
     code, out, err = run(capsys, "analyze", "anf:2:x1*x2")
@@ -82,6 +97,12 @@ def test_rank_ip4_golden(capsys):
     code, out, err = run(capsys, "rank", "anf:4:x1*x2+x3*x4")
     assert (code, err) == (0, "")
     assert out == RANK_IP4
+
+
+def test_cert_norm_halving_cubic14_golden(capsys):
+    code, out, err = run(capsys, "cert", "anf:14:x1*x2*x3", "--method", "norm-halving")
+    assert (code, err) == (0, "")
+    assert out == CERT_NORM_HALVING_CUBIC14
 
 
 def test_analyze_tt_golden(capsys):
@@ -379,6 +400,25 @@ def test_sweep_family_column_and_skip_notes(capsys, tmp_path, family, families, 
     assert err == "".join(f"note: skipping {x} for {family}\n" for x in notes)
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert [r["family"] for r in rows] == [f"family:{x}" for x in families]
+
+
+@pytest.mark.parametrize(
+    "family, n_range, bad_n",
+    [
+        ("bent_ip", "25..25", 25),
+        ("majority", "0..3", 0),
+        ("bent_ip", "0..2", 0),
+        ("majority", "25..25", 25),
+    ],
+)
+def test_sweep_n_out_of_range_exit_2(capsys, tmp_path, family, n_range, bad_n):
+    # the range is checked before the odd/even skip, so no skip note hides it
+    path = tmp_path / "sw.csv"
+    argv = ["sweep", "--family", family, "--n", n_range, "--strategies", "greedy-l1"]
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be an integer in 1..24, got {bad_n}\n"
+    assert not path.exists()
 
 
 def test_family_spec_cli(capsys):

@@ -49,6 +49,7 @@ from boolfourier import (
 )
 
 from boolfourier import pdt as pdt_module
+from boolfourier.cli import parse_function_spec
 from boolfourier._bits import dot, mask_to_string, popcounts
 from boolfourier.pdt import _heavy_direction
 
@@ -546,9 +547,15 @@ def test_norm_halving_f5_trace_frozen():
         assert s.l1_split[0] + s.l1_split[1] == s.l1_before
 
 
+def _on_first_three_of_seven(g: BooleanFunction) -> BooleanFunction:
+    """g, a function of x1..x3, as a function on n = 7 that ignores x4..x7."""
+    return BooleanFunction(7, g.table[np.arange(1 << 7) & 7])
+
+
 @settings(max_examples=50, deadline=None)
-@given(functions(7, min_n=3))
+@given(st.one_of(functions(7, min_n=3), functions(3, min_n=3).map(_on_first_three_of_seven)))
 def test_norm_halving_first_direction_is_lex_least(f):
+    # on the padded inputs the 15 masks on x4..x7 come first, all constant
     assume(deg2(f) >= 3)
     _, steps = cert_norm_halving_with_trace(f)
     size = 1 << f.n
@@ -626,6 +633,22 @@ def test_one_transform_per_call(monkeypatch):
         calls.clear()
         build_degree_reduce(g, max_candidates=budget)
         assert len(calls) == 1, budget
+
+
+def test_norm_halving_takes_one_derivative_per_step(monkeypatch):
+    calls = []
+    real_derivative = pdt_module.derivative
+    monkeypatch.setattr(
+        pdt_module, "derivative", lambda g, t: calls.append(t) or real_derivative(g, t)
+    )
+    (lifted,) = [_lifted(e) for e in SPECTRAL_FROZEN.values() if e["n"] == 12]
+    # at n = 8 and 10 the cubic ignores 5 and 7 variables: no scan over their masks
+    cubics = [parse_function_spec(f"anf:{n}:x1*x2*x3") for n in (8, 10)]
+    for f in (*cubics, lifted):
+        calls.clear()
+        _, steps = cert_norm_halving_with_trace(f)
+        assert steps
+        assert len(calls) == len(steps)
 
 
 def _frame_chain(f, data):
