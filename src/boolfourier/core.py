@@ -79,6 +79,8 @@ class BooleanFunction:
     @classmethod
     def from_int(cls, n: int, bits: int) -> "BooleanFunction":
         """Build from a packed truth table: bit ``x`` of ``bits`` is f(x)."""
+        if not 0 <= n <= N_MAX:  # before 1 << n sizes anything
+            raise DimensionMismatch(f"n must be in 0..{N_MAX}, got {n}")
         if bits < 0 or bits >> (1 << n):
             raise NotBoolean(f"packed table does not fit in {1 << n} bits")
         if n == 0:
@@ -341,11 +343,14 @@ def to_pm_spectrum(spectrum: Spectrum) -> Spectrum:
     """Spectrum of 1 - 2f from the spectrum of a {0,1}-valued f.
 
     Same denom_exp; the numerator at s becomes delta(s,0)*2^denom_exp - 2*num(s).
+    The input is a valid spectrum, so only a zero constant needs dropping.
     """
     k = spectrum.denom_exp
     coeffs = {mask: -2 * num for mask, num in spectrum.coeffs.items()}
     coeffs[0] = (1 << k) + coeffs.get(0, 0)
-    return Spectrum(spectrum.n, k, coeffs)
+    if not coeffs[0]:
+        del coeffs[0]
+    return Spectrum._from_clean(spectrum.n, k, coeffs)
 
 
 def _xor_butterfly(table: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ __all__ = [
     "complete_basis",
     "apply_linear",
     "gf2_invert",
-    "solve_linear_system",
     "echelon_pivots",
     "dickson_matrix",
 ]
@@ -182,23 +181,6 @@ def apply_linear(f, linear_map: LinearMap):
         sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(f.n)
     ]
     return BooleanFunction(f.n, f.table[span_points(columns)])
-
-
-def solve_linear_system(rows: Sequence[int], rhs: Sequence[int], n: int) -> Optional[int]:
-    """One solution x of <rows[i], x> = rhs[i] for n-bit rows, or None if inconsistent.
-
-    Deterministic: the rhs bit rides at position n of each row through
-    ``echelon_pivots``; a pivot at n is an inconsistent row, and x sets the
-    pivot variables of the rows with bit n set, free variables zero.
-    """
-    ech, pivots = echelon_pivots([row | ((b & 1) << n) for row, b in zip(rows, rhs)])
-    if n in pivots:
-        return None
-    x = 0
-    for row, p in zip(ech, pivots):
-        if (row >> n) & 1:
-            x |= 1 << p
-    return x
 
 
 def dickson_matrix(anf) -> Gf2Matrix:

@@ -2,9 +2,10 @@
 
 Every query mask stored in a tree or certificate lives in the ORIGINAL
 coordinates of the input function.  Builders that work through a chain of
-restrictions carry an affine frame (basis images plus shift) and translate
-each chosen direction back before recording it, so the recorded masks along
-any root-to-leaf path are linearly independent by construction.
+restrictions carry an affine frame (basis images, their duals and a shift)
+and translate each chosen direction back before recording it, so the
+recorded masks along any root-to-leaf path are linearly independent by
+construction.
 
 Every tree builder is a chooser over one recursion, ``_grow``: it folds the
 +/-1 spectrum of f and the frame along the query the chooser picks at each

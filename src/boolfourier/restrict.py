@@ -38,7 +38,6 @@ from .errors import (
     NotBoolean,
     ZeroDirection,
 )
-from .gf2 import gf2_rank, solve_linear_system
 
 __all__ = [
     "AffineConstraint",
@@ -105,18 +104,25 @@ class _Frame:
     """Embedding of the current coordinates into the original space.
 
     A current point y maps to x = shift ^ XOR of basis[i] over set bits of y.
+    ``dual[i]`` is the original mask whose parity on the subspace is the
+    current coordinate y_i: <dual[i], basis[j]> = [i = j], and every dual
+    has bits only in P, the pivots (lowest set bits) of the reduced echelon
+    form of span(basis), which are also the lowest set bits of its nonzero
+    vectors.  The basis restricted to P is invertible, so the duals are the
+    only such masks.
     """
 
-    __slots__ = ("n", "basis", "shift")
+    __slots__ = ("basis", "dual", "shift")
 
-    def __init__(self, n: int, basis: List[int], shift: int):
-        self.n = n
+    def __init__(self, basis: List[int], dual: List[int], shift: int):
         self.basis = basis
+        self.dual = dual
         self.shift = shift
 
     @classmethod
     def identity(cls, n: int) -> "_Frame":
-        return cls(n, [1 << i for i in range(n)], 0)
+        units = [1 << i for i in range(n)]
+        return cls(units, list(units), 0)
 
     @property
     def m(self) -> int:
@@ -124,9 +130,11 @@ class _Frame:
 
     def query_mask(self, t: int) -> int:
         """Original mask Q with <Q, x> = <t, y> ^ <Q, shift> on the subspace."""
-        rhs = [(t >> i) & 1 for i in range(self.m)]
-        q = solve_linear_system(self.basis, rhs, self.n)
-        if q is None or q == 0:
+        q = 0
+        for i, d in enumerate(self.dual):
+            if (t >> i) & 1:
+                q ^= d
+        if q == 0:
             raise BoolFourierError("internal: frame query has no nonzero solution")
         return q
 
@@ -146,16 +154,18 @@ class _Frame:
         """Frame after restricting the current coordinates along <t, y> = b."""
         p = lowest_set_bit(t)
         h = highest_set_bit(t)
-        new_basis = []
-        for q in range(self.m):
-            if q == p:
-                continue
-            v = self.basis[q]
-            if (t >> q) & 1:
-                v ^= self.basis[p]
-            new_basis.append(v)
+        # t annihilates the new basis vectors (current coordinates e_k ^ t_k e_p),
+        # so q vanishes on them and XORing q keeps duality; the new span is
+        # {v : <q, v> = 0}, with pivots P minus q's highest bit, which the XOR clears.
+        q = self.query_mask(t)
+        top = highest_set_bit(q)
+        new_basis, new_dual = [], []
+        for k in range(self.m):
+            if k != p:
+                new_basis.append(self.basis[k] ^ (self.basis[p] if (t >> k) & 1 else 0))
+                new_dual.append(self.dual[k] ^ (q if (self.dual[k] >> top) & 1 else 0))
         shift = self.shift ^ (self.basis[h] if b else 0)
-        return _Frame(self.n, new_basis, shift)
+        return _Frame(new_basis, new_dual, shift)
 
     def points(self) -> np.ndarray:
         """The original point of every current point y, at index y."""
@@ -185,14 +195,15 @@ def restrict_affine(
     and branch bits.  With k = n constraints the result is the 0-variable
     function holding a single table bit.
     """
-    masks = [c.mask for c in constraints]
-    for m in masks:
-        _check_direction(f.n, m)
-    if gf2_rank(masks) != len(masks):
-        raise DependentConstraints("constraint masks are linearly dependent")
+    for c in constraints:
+        _check_direction(f.n, c.mask)
     frame = _Frame.identity(f.n)
     for c in constraints:
-        frame = frame.restricted(*frame.local(c))
+        t, b = frame.local(c)
+        # after independent constraints, exactly their span pulls back to 0
+        if t == 0:
+            raise DependentConstraints("constraint masks are linearly dependent")
+        frame = frame.restricted(t, b)
     return frame.restriction(f)
 
 

@@ -111,6 +111,26 @@ def _independent(masks: Sequence[int]) -> bool:
     return r == len(masks) and all(rows)
 
 
+def query_mask_oracle(basis: Sequence[int], t: int) -> int:
+    """The one mask with bits only in P whose parity with basis[i] is bit i of t.
+
+    P is the set of lowest set bits of the nonzero points of span(basis),
+    listed point by point; every subset of P is tried as the mask.
+    """
+    points = [0]
+    for v in basis:
+        points += [p ^ v for p in points]
+    pivots = sorted({(p & -p).bit_length() - 1 for p in points if p})
+    assert len(pivots) == len(basis)
+    found = []
+    for bits in itertools.product((0, 1), repeat=len(pivots)):
+        q = sum(bit << pos for bit, pos in zip(bits, pivots))
+        if all(parity(q & v) == (t >> i) & 1 for i, v in enumerate(basis)):
+            found.append(q)
+    assert len(found) == 1
+    return found[0]
+
+
 def subspace_table(
     table: Sequence[int], constraints: Sequence[Tuple[int, int]]
 ) -> Optional[List[int]]:

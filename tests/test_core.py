@@ -12,6 +12,7 @@ from boolfourier import (
     BooleanFunction,
     DimensionMismatch,
     InvalidEta,
+    N_MAX,
     NotBoolean,
     Spectrum,
     anf_of,
@@ -109,6 +110,13 @@ def test_from_int_roundtrip():
     f = BooleanFunction.from_int(3, 0b10110100)
     assert f.to_int() == 0b10110100
     assert [f.value(x) for x in range(8)] == [0, 0, 1, 0, 1, 1, 0, 1]
+
+
+def test_from_int_checks_n_first():
+    # n is checked before 1 << n shifts by a negative count or sizes a buffer
+    for n in (-1, N_MAX + 1):
+        with pytest.raises(DimensionMismatch, match=f"got {n}"):
+            BooleanFunction.from_int(n, 0)
 
 
 def test_not_boolean_rejected():

@@ -23,9 +23,9 @@ from boolfourier import (
     wht,
 )
 from boolfourier._bits import dot, span_points
-from boolfourier.gf2 import dickson_matrix, echelon_pivots, solve_linear_system
+from boolfourier.gf2 import dickson_matrix, echelon_pivots
 
-from helpers import _independent, parity
+from helpers import _independent
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +84,6 @@ def test_invert_roundtrip(n, rng):
             if (rows[i] >> j) & 1:
                 acc ^= inv.rows[j]
         assert acc == 1 << i
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.randoms(use_true_random=False))
-def test_solve_linear_system(n, rng):
-    rows = [rng.getrandbits(n) or 1 for _ in range(min(n, 3))]
-    x = rng.getrandbits(n)
-    rhs = [parity(r & x) for r in rows]
-    sol = solve_linear_system(rows, rhs, n)
-    assert sol is not None
-    assert all(parity(r & sol) == b for r, b in zip(rows, rhs))
-
-
-def test_solve_inconsistent():
-    # x1 = 0 and x1 = 1 cannot both hold
-    assert solve_linear_system([1, 1], [0, 1], 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from helpers import (
     first_drop_reference,
     heavy_direction_oracle,
     parity,
+    query_mask_oracle,
     rank_oracle,
     rref_bases_reference,
     subspace_table,
@@ -677,6 +678,16 @@ def test_frame_restriction_matches_restrict_affine(f, data):
     g = frame.restriction(f)
     assert g == restrict_affine(f, recorded)
     assert spec.values_equal(to_pm_spectrum(wht(g)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(6), st.data())
+def test_query_mask_is_the_dual_xor_on_the_pivots(f, data):
+    _, frame, _ = _frame_chain(f, data)
+    for i, d in enumerate(frame.dual):
+        assert [dot(d, v) for v in frame.basis] == [int(i == j) for j in range(frame.m)]
+    for t in range(1, 1 << frame.m):
+        assert frame.query_mask(t) == query_mask_oracle(frame.basis, t)
 
 
 @settings(max_examples=60, deadline=None)

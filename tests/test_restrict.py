@@ -82,7 +82,7 @@ def test_fold_zero_direction():
 @given(functions(5), st.data())
 def test_restrict_affine_matches_point_selection(f, data):
     n = f.n
-    k = data.draw(st.integers(1, min(2, n)))
+    k = data.draw(st.integers(1, n))
     masks = data.draw(
         st.lists(
             st.integers(1, (1 << n) - 1), min_size=k, max_size=k, unique=True
