@@ -42,6 +42,7 @@ from ._bits import (
     string_to_mask,
 )
 from .core import (
+    N_MAX,
     BooleanFunction,
     Spectrum,
     _mobius_levels,
@@ -223,31 +224,30 @@ def _column(bits: int) -> array:
     return next(array(code) for code in "bhiq" if bits < 8 * array(code).itemsize)
 
 
-class BuildTrace:
+class BuildTrace(Sequence):
     """The nodes of one build in creation order, stored by column.
 
     A node takes one entry in each of five integer columns (parent, branch,
     mask, l0 and l1_num; None stored as -1) and one info reference instead
-    of an object; ``nodes`` is a read-only sequence that builds each
-    ``TraceNode`` on access.  Each column has the narrowest type its bound
-    allows: a tree on n variables has depth at most n, so fewer than
-    2**(n+1) nodes, masks below 2**n and l0 <= 2**n, and l1_num <=
-    2**denom_exp * 2**(n/2) by Parseval (2**36 at N_MAX).  A value that does
-    not fit raises OverflowError rather than wrapping, and leaves the trace
-    as it was.
+    of an object.  The trace is a read-only sequence that builds each
+    ``TraceNode`` on access; a slice is a list.  Each column has the
+    narrowest type its bound allows: a tree on n variables has depth at most
+    n, so fewer than 2**(n+1) nodes, masks below 2**n and l0 <= 2**n, and
+    l1_num over the root denominator 2**n is at most 2**(1.5n) by Parseval
+    (2**36 at N_MAX).  A value that does not fit raises OverflowError rather
+    than wrapping, and leaves the trace as it was.
     """
 
-    __slots__ = ("n", "denom_exp", "_columns", "_info")
+    __slots__ = ("n", "_columns", "_info")
 
-    def __init__(self, n: int, denom_exp: int):
+    def __init__(self, n: int):
         self.n = n
-        self.denom_exp = denom_exp
         self._columns = (
             _column(n + 1),
             _column(1),
             _column(n + 1),
             _column(n + 1),
-            _column(denom_exp + n // 2 + 1),
+            _column(n + n // 2 + 1),
         )
         self._info: List[dict] = []
 
@@ -280,8 +280,9 @@ class BuildTrace:
         return node_id
 
     @property
-    def nodes(self) -> "_TraceNodes":
-        return _TraceNodes(self)
+    def nodes(self) -> "BuildTrace":
+        """The trace itself, the sequence of its nodes."""
+        return self
 
     def _node(self, i: int) -> TraceNode:
         parent, branch, mask, l0, l1_num = (column[i] for column in self._columns)
@@ -295,26 +296,17 @@ class BuildTrace:
             info=self._info[i],
         )
 
-
-class _TraceNodes(Sequence):
-    """Read-only view of a ``BuildTrace``'s nodes; a slice is a list."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: BuildTrace):
-        self._trace = trace
-
     def __len__(self) -> int:
-        return len(self._trace._info)
+        return len(self._info)
 
     def __getitem__(self, i):
         ids = range(len(self))[i]  # negative indices, IndexError and slices as for a list
         if isinstance(ids, range):
-            return [self._trace._node(j) for j in ids]
-        return self._trace._node(ids)
+            return [self._node(j) for j in ids]
+        return self._node(ids)
 
     def __iter__(self) -> Iterator[TraceNode]:
-        return map(self._trace._node, range(len(self)))
+        return map(self._node, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -441,17 +433,17 @@ def _greedy_step(spectrum: Spectrum) -> Tuple[int, int]:
 # Builders.
 
 
-def _grow(f: BooleanFunction, spec: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
+def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
     """The one tree recursion: query, fold both branches, recurse.
 
-    ``spec`` is the +/-1 spectrum of f over the root denominator; it and the
-    frame are folded along every query.  At each node ``choose(spec, frame,
-    state)`` returns ``(q, t, info, child_state)``: the original mask to
-    query, its direction in the frame's coordinates, the trace annotations
-    and the state both children get.  ``q`` is None for a leaf, whose value
-    is the constant ``spec``.  ``state`` is the root's state.
+    The +/-1 spectrum of f over the root denominator and the frame are
+    folded along every query.  At each node ``choose(spec, frame, state)``
+    returns ``(q, t, info, child_state)``: the original mask to query, its
+    direction in the frame's coordinates, the trace annotations and the
+    state both children get.  ``q`` is None for a leaf, whose value is the
+    constant ``spec``.  ``state`` is the root's state.
     """
-    trace = BuildTrace(n=f.n, denom_exp=f.n)
+    trace = BuildTrace(f.n)
     # Equal annotations share one dict and equal subtrees one node, so what
     # a build leaves behind grows with its distinct parts.
     infos: dict = {}
@@ -477,7 +469,7 @@ def _grow(f: BooleanFunction, spec: Spectrum, choose, state) -> Tuple[Pdt, Build
         # the children are shared already, so equal subtrees get equal keys
         return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
 
-    root = rec(spec, _Frame.identity(f.n), state, None, None)
+    root = rec(_pm_of(f), _Frame.identity(f.n), state, None, None)
     # rec refers to itself through its closure cell; breaking that cycle
     # frees the trace with its last reference, not at the next collection.
     del rec
@@ -511,7 +503,7 @@ def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     def pick(spec: Spectrum):
         return _greedy_step(spec)[0], {}
 
-    return _grow(f, _pm_of(f), _fold_chooser(pick), None)
+    return _grow(f, _fold_chooser(pick), None)
 
 
 def _heavy_direction(spec: Spectrum) -> Tuple[int, int]:
@@ -542,28 +534,28 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
         t, pairs = _heavy_direction(spec)
         return t, {"pairs": pairs}
 
-    return _grow(f, _pm_of(f), _fold_chooser(pick), None)
-
-
-def _span_basis(spectrum: Spectrum) -> List[int]:
-    """Greedy independent subset of the support, scanned in x1-first order.
-
-    Mask 0 is never taken, so a {0,1} spectrum and its +/-1 spectrum give
-    the same basis.
-    """
-    n = spectrum.n
-    return _greedy_basis(sorted(spectrum.coeffs, key=lambda m: lex_key(m, n)))
+    return _grow(f, _fold_chooser(pick), None)
 
 
 def _choose_span(spec: Spectrum, frame: _Frame, state):
-    """Chooser querying a tuple of original masks in order, then a leaf.
+    """Chooser querying a basis of the support's span in order, then a leaf.
 
-    ``state`` is (pending masks, info).  Each mask is pulled back through
-    the frame of its level; when the masks span the support of ``spec`` it
-    is constant after the last one.  Every node, leaves included, shares
-    the one ``info`` dict: a dict per node costs memory on large trees.
+    ``state`` is (pending original masks, info); pending None starts a
+    span-query subtree here.  Its masks are the greedy independent subset of
+    the support of ``spec`` scanned in x1-first order (mask 0 is never
+    taken), mapped to original masks; more than 20 would need more than
+    2**20 leaves and raise TooLarge.  Each mask is pulled back through the
+    frame of its level, and ``spec`` is constant after the last one.  Every
+    node, leaves included, shares the one ``info`` dict: a dict per node
+    costs memory on large trees.
     """
     pending, info = state
+    if pending is None:
+        n = spec.n
+        basis = _greedy_basis(sorted(spec.coeffs, key=lambda m: lex_key(m, n)))
+        if (d := len(basis)) > 20:
+            raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
+        pending = tuple(map(frame.query_mask, basis))
     if not pending:
         return None, 0, info, None
     q = pending[0]
@@ -575,12 +567,7 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """Query a basis of the span of the support; depth is the span's dimension."""
-    spec01 = wht(f)
-    basis = _span_basis(spec01)
-    d = len(basis)
-    if d > 20:
-        raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
-    return _grow(f, to_pm_spectrum(spec01), _choose_span, (tuple(basis), {}))
+    return _grow(f, _choose_span, (None, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +738,7 @@ def build_degree_reduce(
     subtree over every answer combination), restricts, and repeats; at most
     deg2(f) rounds on any path.  If the subspace search exceeds its budget
     (or the function is too large for it), the subtree is finished by
-    span-query construction and flagged in the trace.
+    span-query's chooser, under its size gate, and flagged in the trace.
     """
 
     def choose(spec: Spectrum, frame: _Frame, state):
@@ -766,15 +753,13 @@ def build_degree_reduce(
                 frame.restriction(f), max_codim, max_candidates
             )
         except (NotFound, TooLarge):
-            basis = tuple(frame.query_mask(t) for t in _span_basis(spec))
-            fallback = {"fallback": True, "round": round_no}
-            return _choose_span(spec, frame, (basis, fallback))
+            return _choose_span(spec, frame, (None, {"fallback": True, "round": round_no}))
         rest = tuple(frame.query_mask(t) for t in subspace[1:])
         info = {"round": round_no, "round_queries": len(subspace)}
         t = subspace[0]
         return frame.query_mask(t), t, info, (rest, {"round": round_no})
 
-    return _grow(f, _pm_of(f), choose, ((), {"round": 0}))
+    return _grow(f, choose, ((), {"round": 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +985,9 @@ def tree_from_dict(obj: dict) -> Pdt:
     if not isinstance(obj, dict) or obj.keys() != {"n", "root"}:
         raise InvalidTree("tree JSON needs exactly the keys n and root")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidTree(f"invalid n {n!r}")
+    # checked before anything is sized by n: Pdt.validate takes 1 << n
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= N_MAX:
+        raise InvalidTree(f"invalid n {n!r}: a tree has n in 0..{N_MAX}")
     return Pdt(n, _node_from_dict(obj["root"], n))
 
 

@@ -308,6 +308,17 @@ def _symmetric_values(n: int, rule: str) -> Tuple[int, ...]:
     raise ValueError(rule)
 
 
+def addressing21_table() -> np.ndarray:
+    """Truth table on n = 21 of x_{5+a} XOR x5*x21, where a = x1 + 2x2 + 4x3 + 8x4.
+
+    The 4-bit addressing function on x1..x20 plus one quadratic term: l0 is
+    1,024 but the support spans all 21 dimensions, one past span-query's
+    2**20-leaf limit.
+    """
+    x = np.arange(1 << 21)
+    return (((x >> (4 + (x & 15))) ^ ((x >> 4) & (x >> 20))) & 1).astype(np.uint8)
+
+
 def family_corpus(max_n: int = 10) -> List[Tuple[str, object]]:
     """(label, BooleanFunction) pairs spanning every constructor family.
 

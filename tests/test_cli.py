@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from boolfourier import cli
+from boolfourier import BooleanFunction, anf_of, cli
+
+from helpers import addressing21_table
 
 SCHEMA_ROOT = resources.files("boolfourier") / "schemas"
 
@@ -228,11 +230,47 @@ def test_invalid_specs_exit_2(capsys, spec):
         ("anf:4:x5", "variable x5 out of range 1..4 (position 6)"),
         ("family:bent_ip(k=3)", "bent_ip needs even k, got 3 (position 15)"),
         ("family:and(n=2,extra=1)", "unknown parameter 'extra' (position 15)"),
+        ("family:symmetric(values=0120)", "values must be a bit string (position 24)"),
+        (
+            "family:affine_indicator(n=3,constraints=100)",
+            "constraint '100' must be <bits>=<bit> (position 40)",
+        ),
+        ("family:and(n)", "parameter 'n' is not key=value (position 11)"),
+        ("family:and", "family spec must look like kind(params) (position 7)"),
+        ("anf:3:x1+", "empty term (position 9)"),
+        ("foo:1", "unknown spec kind 'foo' (position 0)"),
     ],
 )
 def test_invalid_spec_error_line(capsys, spec, line):
     code, out, err = run(capsys, "analyze", spec)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, table",
+    [
+        ("family:symmetric(values=0110)", [0, 1, 1, 1, 1, 1, 1, 0]),
+        ("family:affine_indicator(n=3,constraints=100=1&010=0)", [0, 1, 0, 0, 0, 1, 0, 0]),
+        ("anf:2:1+x1*x2", [1, 1, 1, 0]),
+    ],
+)
+def test_spec_parses_to_table(spec, table):
+    assert cli.parse_function_spec(spec).table.tolist() == table
+
+
+def test_span_gate_shared_by_degree_reduce_fallback(capsys):
+    # the n = 21 addressing input spans 21 dimensions: span-query refuses it,
+    # and so does degree-reduce's span-query fallback, with the same line
+    f = BooleanFunction(21, addressing21_table())
+    terms = [
+        "*".join(f"x{i + 1}" for i in range(21) if m >> i & 1) or "1"
+        for m in sorted(anf_of(f).monomials)
+    ]
+    spec = f"anf:21:{'+'.join(terms)}"
+    assert (cli.parse_function_spec(spec).table == f.table).all()
+    for strategy in ("span-query", "degree-reduce"):
+        code, out, err = run(capsys, "pdt", "build", spec, "--strategy", strategy)
+        assert (code, out, err) == (2, "", "error: span dimension 21 would need 2^21 leaves\n")
 
 
 def test_constant_rank_exit_2(capsys):
@@ -305,12 +343,15 @@ def test_pdt_check_deeply_nested_tree_exit_2(capsys, tmp_path):
         {"n": 1, "root": {"query": "1", "child0": {"value": 0}, "child1": {"value": 1}}, "extra": 1},
         {"n": 1, "root": {"value": 0, "query": "1", "child0": {"value": 0}, "child1": {"value": 1}}},
         {"n": 1, "root": {"query": "1", "child0": {"value": 0, "note": 1}, "child1": {"value": 1}}},
+        {"n": 25, "root": {"value": 0}},
+        {"n": 10**12, "root": {"value": 0}},
     ],
-    ids=["bool-leaf", "bool-n", "extra-top-key", "value-and-query", "extra-leaf-key"],
+    ids=["bool-leaf", "bool-n", "extra-top-key", "value-and-query", "extra-leaf-key", "n-25", "n-1e12"],
 )
 def test_pdt_check_boolean_fields_exit_2(capsys, tmp_path, tree):
     # tree.schema.json rejects booleans where it asks for a bit or an
-    # integer, and keys outside the leaf and internal-node key sets
+    # integer, keys outside the leaf and internal-node key sets, and n above
+    # N_MAX, which is refused before anything is sized by it
     with pytest.raises(jsonschema.ValidationError):
         validate(json.dumps(tree), "tree")
     tree_file = tmp_path / "tree.json"
@@ -418,6 +459,31 @@ def test_sweep_n_out_of_range_exit_2(capsys, tmp_path, family, n_range, bad_n):
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: n must be an integer in 1..24, got {bad_n}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, line",
+    [
+        ("--n", "5..3", "--n range is empty: 5..3"),
+        ("--n", "3", "--n must look like A..B, got '3'"),
+        ("--strategies", "bogus", "unknown strategy 'bogus'"),
+        ("--strategies", ",", "--strategies must name at least one strategy"),
+        (
+            "--family",
+            "symmetric",
+            "sweep supports families bent_ip, and, or, parity, majority, random_poly; "
+            "got 'symmetric'",
+        ),
+    ],
+)
+def test_sweep_bad_arguments_exit_2(capsys, tmp_path, flag, value, line):
+    path = tmp_path / "sw.csv"
+    args = {"--family": "parity", "--n": "1..2", "--strategies": "greedy-l1"}
+    args[flag] = value
+    argv = ["sweep", *(x for kv in args.items() for x in kv), "--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
     assert not path.exists()
 
 

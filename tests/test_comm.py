@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boolfourier import (
     BooleanFunction,
@@ -86,6 +86,31 @@ def test_matrix_rank_frozen():
 )
 def test_matrix_rank_matches_fraction_oracle(m):
     assert matrix_rank_exact(m) == matrix_rank_oracle(m)
+
+
+@st.composite
+def leading_zero_matrices(draw):
+    """Small integer matrices, tall or wide, with zeros down part of column 0."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    for row in m[: draw(st.integers(0, rows))]:
+        row[0] = 0
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(leading_zero_matrices())
+@example([[0, 1, 2], [3, 4, 5]])  # a row swap, then every row holds a pivot
+@example([[0, 0], [0, 2], [1, 1], [2, 2]])  # tall, pivot found below two zeros
+def test_bareiss_rank_matches_fraction_oracle(m):
+    # the exact fallback of matrix_rank_exact, checked on its own
+    assert comm._bareiss_rank(np.array(m, dtype=np.int64)) == matrix_rank_oracle(m)
 
 
 P = 2**31 - 1  # the prime of the modular lower bound

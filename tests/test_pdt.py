@@ -55,6 +55,7 @@ from boolfourier.pdt import _heavy_direction
 
 from helpers import (
     _independent,
+    addressing21_table,
     deg_oracle,
     first_drop_reference,
     heavy_direction_oracle,
@@ -195,6 +196,7 @@ def test_degree_reduce_span_fallback_tiny_budget():
 def test_build_trace_nodes_view():
     tree, trace = build_greedy_l1(IP4)
     nodes = trace.nodes
+    assert nodes is trace
     assert len(nodes) == tree.size()
     listed = list(nodes)
     assert [node.node_id for node in listed] == list(range(len(nodes)))
@@ -217,12 +219,12 @@ def test_build_trace_column_overflow_raises():
     # Columns are as narrow as the bounds at n allow; the widest is l1_num
     # <= 2^(1.5n) <= 2^36 at N_MAX, on int64.  A value that does not fit is
     # refused, never wrapped, and the trace keeps its earlier nodes.
-    trace = BuildTrace(n=24, denom_exp=24)
+    trace = BuildTrace(n=24)
     trace.add(parent_id=None, branch=None, mask=1, l0=1, l1_num=1 << 36, info={})
     with pytest.raises(OverflowError):
         trace.add(parent_id=0, branch=0, mask=None, l0=1, l1_num=1 << 63, info={})
     trace.add(parent_id=0, branch=1, mask=None, l0=1, l1_num=(1 << 63) - 1, info={})
-    small = BuildTrace(n=4, denom_exp=4)
+    small = BuildTrace(n=4)
     with pytest.raises(OverflowError):
         small.add(parent_id=None, branch=None, mask=1 << 40, l0=1, l1_num=16, info={})
     assert [(node.parent_id, node.branch, node.l1_num) for node in trace.nodes] == [
@@ -789,6 +791,10 @@ def test_tree_from_dict_validation():
         tree_from_dict({"n": 2, "root": {**leaf, "query": "01", "child0": leaf, "child1": leaf}})
     with pytest.raises(InvalidTree):
         tree_from_dict({"n": 2, "root": {"value": 0, "note": 1}})
+    # n outside 0..N_MAX is refused before anything is sized by it
+    for n in (-1, 25, 10**12):
+        with pytest.raises(InvalidTree, match=f"invalid n {n}"):
+            tree_from_dict({"n": n, "root": {"value": 0}})
 
 
 def test_dot_output_frozen():
@@ -812,6 +818,19 @@ def test_dot_output_frozen():
 def test_rank_too_large_guard():
     with pytest.raises(TooLarge):
         rank_exact(BooleanFunction.from_int(13, 3), max_codim=1)
+
+
+def test_span_gate_shared_by_degree_reduce_fallback():
+    # the search refuses n = 21, so degree-reduce falls back to span queries
+    # at the root, under the same 2^20-leaf gate as span-query itself
+    f = BooleanFunction(21, addressing21_table())
+    assert wht(f).l0() == 1024
+    messages = []
+    for build in (build_span_query, build_degree_reduce):
+        with pytest.raises(TooLarge) as exc:
+            build(f)
+        messages.append(str(exc.value))
+    assert messages == ["span dimension 21 would need 2^21 leaves"] * 2
 
 
 def test_degree_reduce_beyond_search_limit():
