@@ -31,9 +31,15 @@ __all__ = [
 
 _XOR_MATRIX_N_LIMIT = 10
 _SWEEP_N_LIMIT = 8
-# Residue products stay below 2^62, so elimination mod p is exact on int64.
-_RANK_PRIME = 2**31 - 1
-# Numerator and denominator bound of the rational lift: 2 * bound^2 < p
+# q = 2^25 - 39, a prime.  Multipliers and pivot-row entries are reduced to
+# [0, q) before use, so a product is below q^2 < 2^50.  An entry is reduced
+# at least once per panel of _PANEL <= 64 columns and takes at most one
+# product per pivot of the panel, so in between it moves by less than
+# _PANEL * q^2 <= 2^56 whatever the matrix shape: elimination mod q is exact
+# on int64.
+_RANK_PRIME = 33_554_393
+_PANEL = 32
+# Numerator and denominator bound of the rational lift, 4095: 2 * bound^2 < q
 # makes a lifted fraction unique.
 _LIFT_BOUND = math.isqrt(_RANK_PRIME // 2)
 
@@ -52,20 +58,22 @@ def matrix_rank_exact(matrix) -> int:
 
     Three exact steps:
 
-    1. Lower bound.  The entries are reduced modulo the prime p = 2^31 - 1
-       and brought to reduced row echelon form over GF(p) on int64 (a
-       product of two residues stays below 2^62).  With r pivots, M has an
-       r x r minor on the pivot columns that is nonzero mod p, hence a
+    1. Lower bound.  The entries are reduced modulo the prime q = 2^25 - 39
+       and brought to row echelon form over GF(q) on int64 by forward
+       elimination in column panels (products of residues stay below 2^50,
+       and entries are reduced once per panel).  With r pivots, M has an
+       r x r minor on the pivot columns that is nonzero mod q, hence a
        nonzero integer, so the rank over Q is at least r.  If
        r = min(rows, cols) that is the rank.
-    2. Upper bound.  Otherwise the echelon rows on the non-pivot columns,
-       X, are lifted to rationals a/b with |a|, b <= sqrt(p/2), and the
+    2. Upper bound.  Otherwise back substitution in the echelon rows gives
+       the non-pivot columns as combinations X of the pivot columns mod q.
+       X is lifted to rationals a/b with |a|, b <= sqrt(q/2), and the
        identity M[:, pivots] @ (D X) == D M[:, free] is checked in exact
        integer arithmetic, D being the common denominator.  When it holds,
        every column of M lies in the span of the r pivot columns, so the
        rank is at most r.  The modular computation only proposes the
        combinations; the exact check is the proof.
-    3. Fallback.  When the lift or the check fails (p divides a minor that
+    3. Fallback.  When the lift or the check fails (q divides a minor that
        matters, or X has entries beyond the lift bound), the rank comes
        from fraction-free Bareiss elimination on Python ints.
 
@@ -73,10 +81,10 @@ def matrix_rank_exact(matrix) -> int:
     """
     m = _integer_matrix(matrix)
     rows, cols = m.shape
-    reduced, pivots = _rref_mod_p((m % _RANK_PRIME).astype(np.int64, copy=False))
-    r = len(pivots)
-    if r == min(rows, cols) or _factors_through(m, reduced, pivots):
-        return r
+    a = (m % _RANK_PRIME).astype(np.int64, copy=False)
+    pivots = _echelon_mod_q(a)
+    if len(pivots) == min(rows, cols) or _factors_through(m, _free_solution(a, pivots), pivots):
+        return len(pivots)
     return _bareiss_rank(m)
 
 
@@ -93,44 +101,108 @@ def _integer_matrix(matrix) -> np.ndarray:
     return m
 
 
-def _rref_mod_p(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form over GF(p) of int64 residues, in place.
+def _echelon_mod_q(a: np.ndarray) -> List[int]:
+    """Row echelon form over GF(q) of int64 residues, in place; the pivot columns.
 
-    Returns a copy of the nonzero rows, so the full residue matrix can be
-    freed before the factorization check, and their pivot columns.  Columns
-    left of the current pivot are already zero in the pivot row, so each
-    step only updates the columns from the pivot on.
+    Forward elimination with row swaps, one panel of _PANEL columns at a
+    time.  Inside a panel each pivot updates the panel's columns only, in
+    the rows with a nonzero entry below it.  Those entries stay in place as
+    its multipliers, as in an LU factorization; they are taken relative to
+    the pivot, so the pivot's inverse scales the pivot row instead.  Then
+    one triangular pass gives the pivot rows right of the panel, and one
+    matmul, L21 @ U12, updates the trailing block, which is reduced mod q
+    once.  The pivots are the first columns independent of those before
+    them.  On return the first len(pivots) rows hold the echelon rows,
+    reduced, with multipliers at the pivot columns left of their own pivot.
     """
     rows, cols = a.shape
     pivots: List[int] = []
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        r0 = r
+        inverses = []
+        # a column that is zero in the rows left at the panel's start stays zero
+        for c in (c0 + np.flatnonzero(a[r:, c0:c1].any(axis=0))).tolist():
+            col = a[r:, c]
+            col %= _RANK_PRIME
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                i = r + int(nz[0])
+                row = a[i].copy()
+                a[i] = a[r]
+                a[r] = row
+            inverses.append(pow(int(a[r, c]), -1, _RANK_PRIME))
+            if nz.size > 1:
+                hit = r + nz[1:]
+                scaled = a[r, c + 1 : c1] % _RANK_PRIME * inverses[-1] % _RANK_PRIME
+                a[hit, c + 1 : c1] -= a[hit, c, None] * scaled
+            pivots.append(c)
+            r += 1
+            if r == rows:
+                break
+        if r == r0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, _RANK_PRIME) % _RANK_PRIME
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.flatnonzero(col)
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - col[hit, None] * a[r, c:]) % _RANK_PRIME
-        pivots.append(c)
-        r += 1
-    return a[:r].copy(), pivots
+        a[r0:r, c0:c1] %= _RANK_PRIME
+        if c1 == cols:
+            break
+        panel = pivots[r0 - r :]
+        inv = np.array(inverses, dtype=np.int64)
+        # U12 = L11^-1 A12, with L11 unit lower: multipliers times inverses
+        u = a[r0:r, c1:]
+        lower = np.tril(a[r0:r, panel], -1) * inv % _RANK_PRIME
+        for j in np.flatnonzero(lower.any(axis=0)).tolist():
+            u[j] %= _RANK_PRIME
+            u[j + 1 :] -= lower[j + 1 :, j, None] * u[j]
+        u %= _RANK_PRIME
+        lower = a[r:, panel]
+        live = np.flatnonzero(lower.any(axis=1))
+        if live.size:
+            # these multipliers are relative to the pivots as well
+            hit = r + live
+            scaled = u * inv[:, None] % _RANK_PRIME
+            a[hit, c1:] = (a[hit, c1:] - lower[live] @ scaled) % _RANK_PRIME
+    return pivots
+
+
+def _free_solution(a: np.ndarray, pivots: List[int]) -> np.ndarray:
+    """X = U_P^-1 U_F mod q: each non-pivot column on the pivot columns.
+
+    U is the echelon rows left by ``_echelon_mod_q``, U_P its pivot columns
+    (upper triangular; the multipliers below the diagonal are dropped) and
+    U_F the rest.  Both are scaled by the inverse pivots first, so U_P has
+    a unit diagonal.  Back substitution runs bottom up in blocks of _PANEL
+    rows: a block is solved row by row, then one matmul moves it into the
+    rows above, which are reduced mod q once per block.
+    """
+    r = len(pivots)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivots] = False
+    upper = a[:r, pivots]
+    inverses = np.array(
+        [pow(int(v), -1, _RANK_PRIME) for v in upper.diagonal()], dtype=np.int64
+    )[:, None]
+    upper = np.triu(upper, 1) * inverses % _RANK_PRIME
+    x = a[:r, free] * inverses % _RANK_PRIME
+    for end in range(r, 0, -_PANEL):
+        start = max(end - _PANEL, 0)
+        for j in range(end - 1, start - 1, -1):
+            x[j] %= _RANK_PRIME
+            x[start:j] -= upper[start:j, j, None] * x[j]
+        if start:
+            x[:start] = (x[:start] - upper[:start, start:end] @ x[start:end]) % _RANK_PRIME
+    return x
 
 
 def _rational_lift(residues: np.ndarray):
-    """(D X, D) for fractions X = residues mod p with common denominator D, or None.
+    """(D X, D) for fractions X = residues mod q with common denominator D, or None.
 
     Wang's rational reconstruction, run on the distinct residues at once:
-    the half extended Euclidean algorithm on (p, u) stops at the first
-    remainder a <= sqrt(p/2); its cofactor b is the denominator, accepted
-    when |b| <= sqrt(p/2) and gcd(a, b) = 1.  None when a residue has no
+    the half extended Euclidean algorithm on (q, u) stops at the first
+    remainder a <= sqrt(q/2); its cofactor b is the denominator, accepted
+    when |b| <= sqrt(q/2) and gcd(a, b) = 1.  None when a residue has no
     such fraction.
     """
     values, where = np.unique(residues.ravel(), return_inverse=True)
@@ -155,27 +227,29 @@ def _rational_lift(residues: np.ndarray):
     return scaled[where].reshape(residues.shape), denom
 
 
-def _factors_through(m: np.ndarray, reduced: np.ndarray, pivots: List[int]) -> bool:
+def _factors_through(m: np.ndarray, x: np.ndarray, pivots: List[int]) -> bool:
     """Exact check that each non-pivot column of m is m[:, pivots] @ X.
 
-    X is the rational lift of ``reduced`` on those columns.  The products
-    run on int64 when r * max|m| * max|D X| stays below 2^62, and on Python
-    ints otherwise.
+    X is the rational lift of the residues ``x``.  The products run on
+    int64 when r * max|m| * max|D X| stays below 2^62, and on Python ints
+    otherwise.  The int64 product takes the pivot columns row-contiguous
+    and D X column-contiguous, the layout numpy's integer matmul walks.
     """
     free = np.ones(m.shape[1], dtype=bool)
     free[pivots] = False
-    lifted = _rational_lift(reduced[:, free])
+    lifted = _rational_lift(x)
     if lifted is None:
         return False
     scaled, denom = lifted
     big = max(-int(m.min(initial=0)), int(m.max(initial=0)))
     if scaled.dtype != object and max(len(pivots), 1) * big * _LIFT_BOUND * denom < _INT64_SAFE:
         m = m.astype(np.int64, copy=False)
+        scaled = np.asfortranarray(scaled)
     else:
         scaled, m = scaled.astype(object), m.astype(object)
     target = m[:, free]
     target *= denom
-    return bool(np.array_equal(m[:, pivots] @ scaled, target))
+    return bool(np.array_equal(m.take(pivots, axis=1) @ scaled, target))
 
 
 def _bareiss_rank(a: np.ndarray) -> int:

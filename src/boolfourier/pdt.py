@@ -544,14 +544,17 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
     span-query subtree here.  Its masks are the greedy independent subset of
     the support of ``spec`` scanned in x1-first order (mask 0 is never
     taken), mapped to original masks; more than 20 would need more than
-    2**20 leaves and raise TooLarge.  Each mask is pulled back through the
-    frame of its level, and ``spec`` is constant after the last one.  Every
-    node, leaves included, shares the one ``info`` dict: a dict per node
-    costs memory on large trees.
+    2**20 leaves and raise TooLarge.  A support of 2**20 or more nonzero
+    masks spans more than 20 dimensions, so it is refused before the scan.
+    Each mask is pulled back through the frame of its level, and ``spec``
+    is constant after the last one.  Every node, leaves included, shares
+    the one ``info`` dict: a dict per node costs memory on large trees.
     """
     pending, info = state
     if pending is None:
         n = spec.n
+        if spec.l0() - (0 in spec.coeffs) >= 1 << 20:
+            raise TooLarge("span dimension more than 20 would need more than 2^20 leaves")
         basis = _greedy_basis(sorted(spec.coeffs, key=lambda m: lex_key(m, n)))
         if (d := len(basis)) > 20:
             raise TooLarge(f"span dimension {d} would need 2^{d} leaves")

@@ -1,5 +1,7 @@
 """XOR-function matrices, exact integer rank and protocol simulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,7 +115,7 @@ def test_bareiss_rank_matches_fraction_oracle(m):
     assert comm._bareiss_rank(np.array(m, dtype=np.int64)) == matrix_rank_oracle(m)
 
 
-P = 2**31 - 1  # the prime of the modular lower bound
+P = comm._RANK_PRIME  # the prime of the modular lower bound
 
 
 @pytest.fixture
@@ -161,11 +163,74 @@ def test_matrix_rank_multiples_of_p_reach_bareiss(bareiss_calls):
 
 
 def test_matrix_rank_unliftable_entries_reach_bareiss(bareiss_calls):
-    # rank 1, but the echelon row is (1, 2^70) and its residue 2^70 mod p
-    # lifts to 256, so the factorization check fails
+    # rank 1, but the echelon row is (1, 2^70) and its residue 2^70 mod q
+    # lifts to -2411/2827, so the factorization check fails
     assert matrix_rank_exact([[1, 2**70], [3, 3 * 2**70]]) == 1
     assert matrix_rank_exact([[1, 2**70, 5], [3, 3 * 2**70, 15]]) == 1
     assert len(bareiss_calls) == 2
+
+
+def test_rank_prime_is_prime():
+    q = comm._RANK_PRIME
+    assert q == 2**25 - 39
+    assert all(q % d for d in range(2, math.isqrt(q) + 1))
+    assert comm._LIFT_BOUND == 4095
+
+
+@st.composite
+def panel_crossing_products(draw):
+    """A (rows x k) @ B (k x cols) with both sides past two panel edges.
+
+    B is zero on its first columns, up to one column before or after the
+    first panel edge, and on the column before the second edge.  Rows k1..
+    of B are also zero before the second edge, so the pivots past the
+    first k1 fall in the third panel.  A's first rows are zero, so the
+    first pivot row comes from a row swap at the first panel edge.
+    """
+    b = comm._PANEL
+    rows, cols = draw(st.integers(2 * b + 1, 3 * b)), draw(st.integers(2 * b + 1, 3 * b))
+    k = draw(st.integers(1, 6))
+    k1 = draw(st.integers(0, k))
+    rng = draw(st.randoms(use_true_random=False))
+    a = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)], dtype=np.int64)
+    a[: draw(st.integers(1, 3))] = 0
+    bm = np.array([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)], dtype=np.int64)
+    bm[:, : draw(st.integers(b - 1, b + 1))] = 0
+    bm[:, 2 * b - 1] = 0
+    bm[k1:, : 2 * b] = 0
+    return a @ bm
+
+
+@settings(max_examples=12, deadline=None)
+@given(panel_crossing_products())
+def test_matrix_rank_across_panels_matches_fraction_oracle(m):
+    want = matrix_rank_oracle(m.tolist())
+    assert matrix_rank_exact(m) == want
+    assert matrix_rank_exact(m.T) == want
+
+
+def test_matrix_rank_of_residues_q_minus_1(bareiss_calls):
+    # 2I - J: every residue off the diagonal is q - 1, so the first pivot's
+    # multipliers and scaled row are all q - 1 and each of its products is
+    # (q - 1)^2, the largest; elimination runs across four panels, first at
+    # full rank and then, with 40 rows and columns repeated, below it
+    size = 3 * comm._PANEL + 4
+    m = 2 * np.eye(size, dtype=np.int64) - 1
+    assert (m % comm._RANK_PRIME)[0, 1] == comm._RANK_PRIME - 1
+    assert matrix_rank_exact(m) == size
+    m = np.vstack([m, m[:40]])
+    m = np.hstack([m, m[:, :40]])
+    assert matrix_rank_exact(m) == size
+    assert bareiss_calls == []
+
+
+@pytest.mark.parametrize("d", [4, 7])
+def test_matrix_rank_n9_below_full_rank(bareiss_calls, d):
+    # rank below 512: the lifted combinations certify the rank on their own
+    f = generate(FamilySpec("random_poly", {"n": 9, "d": d, "seed": 1}))
+    rank = matrix_rank_exact(xor_matrix(f))
+    assert rank == wht(f).l0() < 512
+    assert bareiss_calls == []
 
 
 def test_matrix_rank_rejects_bad_input():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -831,6 +832,23 @@ def test_span_gate_shared_by_degree_reduce_fallback():
             build(f)
         messages.append(str(exc.value))
     assert messages == ["span dimension 21 would need 2^21 leaves"] * 2
+
+
+def test_span_gate_refuses_a_large_support_before_the_scan(monkeypatch):
+    # bent_ip(20) XOR x21: 2^20 nonzero masks, all with bit 21 set.  So many
+    # masks span more than 20 dimensions, and the gate refuses them without
+    # the sort and the greedy scan of the support, which take seconds here.
+    def scan(rows):
+        raise AssertionError("the support was scanned")
+
+    monkeypatch.setattr(pdt_module, "_greedy_basis", scan)
+    g = generate(FamilySpec("bent_ip", {"k": 20}))
+    f = BooleanFunction(21, np.concatenate([g.table, 1 - g.table]))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        build_span_query(f)
+    assert time.perf_counter() - start < 10
+    assert str(exc.value) == "span dimension more than 20 would need more than 2^20 leaves"
 
 
 def test_degree_reduce_beyond_search_limit():
