@@ -250,7 +250,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_pdt_build(args) -> int:
     f = parse_function_spec(args.fn)
-    tree, _trace = STRATEGIES[args.strategy](f)
+    tree, trace = STRATEGIES[args.strategy](f)
+    if args.strategy == "degree-reduce":
+        fallback = sum(1 for node in trace if node.info.get("fallback"))
+        if fallback:
+            print(
+                f"note: the degree-drop search gave up; span queries built {fallback} "
+                f"of {len(trace)} nodes",
+                file=sys.stderr,
+            )
     if args.dot:
         _write_output(args.dot, args.out_dir, tree_to_dot(tree))
     depth, size, leaves = _shape(tree.root)

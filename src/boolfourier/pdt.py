@@ -7,15 +7,18 @@ and translate each chosen direction back before recording it, so the
 recorded masks along any root-to-leaf path are linearly independent by
 construction.
 
-Every tree builder is a chooser over one recursion, ``_grow``: it folds the
-+/-1 spectrum of f and the frame along the query the chooser picks at each
-node, so trace l1 numerators stay over the root denominator ``2**f.n`` and
-are comparable along every path.  The frame is ``restrict._Frame``, the
-one code path that restricts: a builder or certificate that needs the truth
-table of a restriction gathers it once from the frame
-(``_Frame.restriction``), and original constraints enter the frame's
-coordinates through ``_Frame.local``.  Both norm-halving sub-certificates
-are folded on the outer frame, so they come back in original coordinates.
+Trees and certificates share one walk.  It folds the +/-1 spectrum of f
+and the frame along a query at each node, so trace l1 numerators stay over
+the root denominator ``2**f.n`` and are comparable along every path.  Every
+tree builder is a chooser over ``_grow``, which expands both branches; a
+certificate is one root-to-leaf path of the greedy tree (``_greedy_path``),
+following either the preferred branch or the one holding an anchor point.
+Both take each fold from ``_fold_step`` and each branch from ``_child``.
+The frame is ``restrict._Frame``, the one code path that restricts: a
+builder or certificate that needs the truth table of a restriction gathers
+it once from the frame (``_Frame.restriction``).  Both norm-halving
+sub-certificates are paths on the outer frame, so they come back in
+original coordinates.
 The degree-drop search needs no frame: ``_rref_bases`` yields each
 candidate's rows with their pivots, which give its kernel directly, and
 candidates are tested in chunks: ``_kernel_points`` fills a chunk's kernels
@@ -383,24 +386,6 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     )
 
 
-def _restrict_with_frame(
-    spec: Spectrum, frame: _Frame, constraints: Sequence[AffineConstraint]
-) -> Tuple[Spectrum, _Frame]:
-    """Restrict ``spec`` and ``frame`` along original constraints in order.
-
-    ``spec``, a spectrum in the frame's coordinates, is folded along each
-    constraint pulled back through the frame, so it stays a spectrum of the
-    restriction at its own denom_exp (the identity ``restrict_affine``
-    documents) without another transform.  The restricted table is
-    ``frame.restriction(f)`` of the returned frame.
-    """
-    for c in constraints:
-        t, b = frame.local(c)
-        spec = fold(spec, t, b)
-        frame = frame.restricted(t, b)
-    return spec, frame
-
-
 def _pm_of(g: BooleanFunction) -> Spectrum:
     return to_pm_spectrum(wht(g))
 
@@ -416,17 +401,46 @@ def _leaf_bit(spectrum: Spectrum) -> int:
     raise BoolFourierError("internal: spectrum is not a +/-1 constant")
 
 
-def _greedy_step(spectrum: Spectrum) -> Tuple[int, int]:
-    """Greedy fold (t, b): t = a1 ^ a2 for the two largest-magnitude coefficients.
+def _greedy_step(spectrum: Spectrum) -> Tuple[int, int, dict]:
+    """Greedy pick (t, b, info): t = a1 ^ a2 for the two largest-magnitude coefficients.
 
-    Ties go by x1-first mask order.  On branch b the merged coefficient is
-    |a1| + |a2|.
+    Ties go by x1-first mask order.  On fold bit b the merged coefficient is
+    |a1| + |a2|.  The greedy builder annotates no node, so info is empty.
     """
     n = spectrum.n
     (a1, c1), (a2, c2) = heapq.nsmallest(
         2, spectrum.coeffs.items(), key=lambda kv: (-abs(kv[1]), lex_key(kv[0], n))
     )
-    return a1 ^ a2, 0 if c1 * c2 > 0 else 1
+    return a1 ^ a2, 0 if c1 * c2 > 0 else 1, {}
+
+
+def _fold_step(pick, spec: Spectrum) -> Tuple[int, int, dict]:
+    """One fold of ``spec``: (direction t, preferred fold bit b, trace info).
+
+    While l0 >= 2 ``pick(spec)`` gives all three.  A single character is
+    folded along its own mask; a constant gives t = 0, a leaf.
+    """
+    if spec.l0() > 1:
+        return pick(spec)
+    return next(iter(spec.coeffs), 0), 0, {}
+
+
+def _fold_bit(frame: _Frame, q: int, bit: int) -> int:
+    """Fold bit of the answer <q, x> = bit to q = frame.query_mask(t), and back.
+
+    On the frame's subspace <q, x> = <t, y> ^ <q, shift>.
+    """
+    return bit ^ dot(q, frame.shift)
+
+
+def _child(spec: Spectrum, frame: _Frame, q: int, t: int, beta: int) -> Tuple[Spectrum, _Frame]:
+    """``spec`` and ``frame`` on the branch <q, x> = beta of the query q along t.
+
+    The spectrum stays one of the restriction, at its own denom_exp (the
+    identity ``restrict_affine`` documents).
+    """
+    b = _fold_bit(frame, q, beta)
+    return fold(spec, t, b), frame.restricted(t, b)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,7 @@ def _greedy_step(spectrum: Spectrum) -> Tuple[int, int]:
 
 
 def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
-    """The one tree recursion: query, fold both branches, recurse.
+    """The one tree recursion: query, take both children, recurse.
 
     The +/-1 spectrum of f over the root denominator and the frame are
     folded along every query.  At each node ``choose(spec, frame, state)``
@@ -461,10 +475,8 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
         )
         if q is None:
             return _LEAVES[_leaf_bit(spec)]
-        offset = dot(q, frame.shift)
         child0, child1 = (
-            rec(fold(spec, t, b), frame.restricted(t, b), child_state, node_id, beta)
-            for beta, b in ((0, offset), (1, 1 ^ offset))
+            rec(*_child(spec, frame, q, t, beta), child_state, node_id, beta) for beta in (0, 1)
         )
         # the children are shared already, so equal subtrees get equal keys
         return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
@@ -477,19 +489,11 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
 
 
 def _fold_chooser(pick):
-    """Chooser folding along ``pick(spec) -> (t, info)`` while l0 >= 2.
-
-    A single character is queried along its own mask; a constant is a leaf.
-    """
+    """Chooser folding along ``_fold_step(pick, spec)`` until the spectrum is constant."""
 
     def choose(spec: Spectrum, frame: _Frame, _state):
-        if spec.l0() > 1:
-            t, info = pick(spec)
-        else:
-            t, info = next(iter(spec.coeffs), 0), {}
-            if t == 0:
-                return None, 0, info, None
-        return frame.query_mask(t), t, info, None
+        t, _, info = _fold_step(pick, spec)
+        return frame.query_mask(t) if t else None, t, info, None
 
     return choose
 
@@ -499,11 +503,7 @@ def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 
     Ties are broken by x1-first mask order; both branches are expanded.
     """
-
-    def pick(spec: Spectrum):
-        return _greedy_step(spec)[0], {}
-
-    return _grow(f, _fold_chooser(pick), None)
+    return _grow(f, _fold_chooser(_greedy_step), None)
 
 
 def _heavy_direction(spec: Spectrum) -> Tuple[int, int]:
@@ -532,7 +532,7 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 
     def pick(spec: Spectrum):
         t, pairs = _heavy_direction(spec)
-        return t, {"pairs": pairs}
+        return t, 0, {"pairs": pairs}
 
     return _grow(f, _fold_chooser(pick), None)
 
@@ -775,37 +775,32 @@ def certificate_check(f: BooleanFunction, cert: Certificate) -> bool:
     return g.is_constant() and int(g.table[0]) == cert.value
 
 
-def _greedy_fold(
+def _greedy_path(
     spec: Spectrum, frame: _Frame, anchor: Optional[int] = None
 ) -> Tuple[List[AffineConstraint], int]:
-    """Greedy folding until constant: (original constraints, constant bit).
+    """One root-to-leaf path of the greedy tree: (original constraints, leaf value).
 
-    Each step folds ``spec``, a +/-1 spectrum in the frame's coordinates,
-    along a1 ^ a2 for its two largest-magnitude coefficients (the lone mask
-    of a single character).  Without an anchor the branch making the merged
-    coefficient |a1| + |a2| is taken.  ``anchor`` is a point of the frame's
-    subspace in original coordinates; with it every branch keeps the anchor
-    inside, so each constraint holds there and the constant is the
-    function's value at the anchor.
+    ``spec`` is a +/-1 spectrum in the frame's coordinates, and the path is
+    the one ``build_greedy_l1``'s walk would take from them.  Without an
+    anchor each step follows the fold bit ``_greedy_step`` prefers, on which
+    the merged coefficient is |a1| + |a2|.  ``anchor`` is a point of the
+    frame's subspace in original coordinates; with it each step follows the
+    branch holding the anchor, so each constraint holds there and the leaf
+    value is the function's value at the anchor.
     """
     out: List[AffineConstraint] = []
     while True:
-        if spec.l0() > 1:
-            t, b = _greedy_step(spec)
-        else:
-            t, b = next(iter(spec.coeffs), 0), 0
-            if t == 0:
-                return out, _leaf_bit(spec)
+        t, b, _ = _fold_step(_greedy_step, spec)
+        if t == 0:
+            return out, _leaf_bit(spec)
         q = frame.query_mask(t)
-        if anchor is not None:
-            b = dot(q, anchor ^ frame.shift)
-        out.append(AffineConstraint(q, b ^ dot(q, frame.shift)))
-        spec = fold(spec, t, b)
-        frame = frame.restricted(t, b)
+        beta = _fold_bit(frame, q, b) if anchor is None else dot(q, anchor)
+        out.append(AffineConstraint(q, beta))
+        spec, frame = _child(spec, frame, q, t, beta)
 
 
 def cert_greedy_l1(f: BooleanFunction) -> Certificate:
-    """Certificate from greedy folding, following only the sign-aligned branch.
+    """The sign-aligned root-to-leaf path of ``build_greedy_l1``'s tree.
 
     At each step the two largest-magnitude +/-1 coefficients a1, a2 (ties by
     x1-first mask order) give the direction a1 ^ a2; the branch making the
@@ -814,7 +809,7 @@ def cert_greedy_l1(f: BooleanFunction) -> Certificate:
     """
     if f.is_constant():
         raise ConstantInput("constant functions need no certificate")
-    constraints, value = _greedy_fold(_pm_of(f), _Frame.identity(f.n))
+    constraints, value = _greedy_path(_pm_of(f), _Frame.identity(f.n))
     return Certificate(tuple(constraints), value)
 
 
@@ -841,8 +836,8 @@ def cert_norm_halving_with_trace(
 ) -> Tuple[Certificate, List[HalvingStep]]:
     """Derivative-driven certificate plus its outer-iteration trace.
 
-    Loop on the current restriction g: degree <= 2 finishes by greedy
-    folding (an affine g is a single character, one query or none);
+    Loop on the current restriction g: degree <= 2 finishes by the greedy
+    path (an affine g is a single character, one query or none);
     otherwise take the x1-first direction t with a non-constant derivative,
     certify both values of the derivative on recursively chosen subspaces,
     adopt the branch whose split l1 is at most half the total (ties toward
@@ -880,27 +875,24 @@ def cert_norm_halving_with_trace(
         # the first index where the derivative takes its value
         deriv_spec = _pm_of(deriv)
         ys = [int(np.argmax(deriv.table == bit)) for bit in (0, 1)]
-        sub0, sub1 = (
-            _greedy_fold(deriv_spec, frame, anchor)[0]
-            for anchor in frame.points()[ys].tolist()
-        )
+        subs = [_greedy_path(deriv_spec, frame, a)[0] for a in frame.points()[ys].tolist()]
         b_star = 0 if 2 * l1_0 <= l1_total else 1
-        chosen = sub0 if b_star == 0 else sub1
-        spec, frame = _restrict_with_frame(spec, frame, chosen)
-        constraints.extend(chosen)
+        for c in subs[b_star]:
+            spec, frame = _child(spec, frame, c.mask, frame.pullback(c.mask), c.bit)
+        constraints.extend(subs[b_star])
         step = HalvingStep(
             derivative_mask=t,
             chosen_branch=b_star,
             l1_before=l1_total,
             l1_split=(l1_0, l1_1),
             l1_after=spec.l1_num(),
-            sub_codims=(len(sub0), len(sub1)),
+            sub_codims=(len(subs[0]), len(subs[1])),
         )
         steps.append(step)
         if 2 * step.l1_after > step.l1_before:
             raise BoolFourierError("internal: l1 numerator failed to halve")
         g = frame.restriction(f)
-    tail, value = _greedy_fold(spec, frame)
+    tail, value = _greedy_path(spec, frame)
     return Certificate(tuple(constraints + tail), value), steps
 
 

@@ -1,4 +1,5 @@
-"""Shared test fixtures: independent oracles and the function corpus.
+"""Shared test fixtures: independent oracles, the function corpora and the
+records of frozen certificates.
 
 The oracles recompute everything from definitions in plain Python (direct
 double-loop transforms, subset-sum Moebius, point-selection restrictions,
@@ -18,7 +19,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from boolfourier import FamilySpec, NotFound, TooLarge, generate, simulate_protocol
+from boolfourier import (
+    FamilySpec,
+    NotFound,
+    TooLarge,
+    cert_greedy_l1,
+    cert_norm_halving_with_trace,
+    generate,
+    simulate_protocol,
+)
+from boolfourier._bits import mask_to_string
 
 # ---------------------------------------------------------------------------
 # Independent oracles (no package imports beyond corpus construction).
@@ -383,3 +393,45 @@ def random_corpus(count: int = 200) -> List[Tuple[str, object]]:
 
 def full_corpus(max_n: int = 10, random_count: int = 200) -> List[Tuple[str, object]]:
     return family_corpus(max_n) + random_corpus(random_count)
+
+
+def cert_corpus() -> List[Tuple[str, object]]:
+    """The frozen-certificate corpus: random_poly for n = 3..10, d = 2..4
+    (d <= n) and seeds 1..3, then bent_ip and majority."""
+    entries = []
+    for n in range(3, 11):
+        for d in range(2, min(4, n) + 1):
+            for seed in (1, 2, 3):
+                params = {"n": n, "d": d, "seed": seed}
+                label = f"random_poly(n={n},d={d},seed={seed})"
+                entries.append((label, generate(FamilySpec("random_poly", params))))
+    for k in (4, 6, 8):
+        entries.append((f"bent_ip(k={k})", generate(FamilySpec("bent_ip", {"k": k}))))
+    for n in (3, 5, 7, 9):
+        entries.append((f"majority(n={n})", generate(FamilySpec("majority", {"n": n}))))
+    return entries
+
+
+def plain_certs(f) -> dict:
+    """Both certificates of f as JSON-ready data, with norm-halving's steps.
+
+    Constraints are [x1-first mask bitstring, bit] pairs; a step is
+    [derivative mask, chosen branch, l1 before, l1 split, l1 after, sub codims].
+    """
+
+    def plain(cert) -> dict:
+        return {
+            "constraints": [[mask_to_string(c.mask, f.n), c.bit] for c in cert.constraints],
+            "value": cert.value,
+        }
+
+    cert, steps = cert_norm_halving_with_trace(f)
+    plain_steps = [
+        [s.derivative_mask, s.chosen_branch, s.l1_before, list(s.l1_split), s.l1_after,
+         list(s.sub_codims)]
+        for s in steps
+    ]
+    return {
+        "greedy_l1": plain(cert_greedy_l1(f)),
+        "norm_halving": {**plain(cert), "steps": plain_steps},
+    }

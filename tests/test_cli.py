@@ -273,6 +273,24 @@ def test_span_gate_shared_by_degree_reduce_fallback(capsys):
         assert (code, out, err) == (2, "", "error: span dimension 21 would need 2^21 leaves\n")
 
 
+def test_degree_reduce_fallback_note_on_stderr(capsys):
+    # at n = 9 the search budget runs out at the root, so span queries build
+    # the whole tree; one note says so, and stdout holds that tree alone
+    spec = "family:random_poly(n=9,d=3,seed=1)"
+    code, out, err = run(capsys, "pdt", "build", spec, "--strategy", "degree-reduce")
+    assert code == 0
+    assert err == "note: the degree-drop search gave up; span queries built 1023 of 1023 nodes\n"
+    _, span_out, _ = run(capsys, "pdt", "build", spec, "--strategy", "span-query")
+    assert json.loads(out)["tree"] == json.loads(span_out)["tree"]
+
+
+def test_degree_reduce_without_fallback_is_quiet(capsys):
+    spec = "family:random_poly(n=5,d=3,seed=1)"
+    code, out, err = run(capsys, "pdt", "build", spec, "--strategy", "degree-reduce")
+    assert (code, err) == (0, "")
+    validate(out, "pdt_build")
+
+
 def test_constant_rank_exit_2(capsys):
     code, _, err = run(capsys, "rank", "tt:2:0")
     assert code == 2

@@ -57,10 +57,12 @@ from boolfourier.pdt import _heavy_direction
 from helpers import (
     _independent,
     addressing21_table,
+    cert_corpus,
     deg_oracle,
     first_drop_reference,
     heavy_direction_oracle,
     parity,
+    plain_certs,
     query_mask_oracle,
     rank_oracle,
     rref_bases_reference,
@@ -591,29 +593,42 @@ def _lifted(entry) -> BooleanFunction:
     return apply_linear(f, LinearMap(Gf2Matrix(entry["rows"], n)))
 
 
-def _plain_cert(cert: Certificate, n: int) -> dict:
-    return {
-        "constraints": [[mask_to_string(c.mask, n), c.bit] for c in cert.constraints],
-        "value": cert.value,
-    }
-
-
 @pytest.mark.parametrize("label", sorted(SPECTRAL_FROZEN))
 def test_spectral_outputs_frozen(label):
     # sparse lifted inputs at n = 12..14; three of the four run the halving loop
     entry = SPECTRAL_FROZEN[label]
     f = _lifted(entry)
-    cert, steps = cert_norm_halving_with_trace(f)
-    plain_steps = [
-        [s.derivative_mask, s.chosen_branch, s.l1_before, list(s.l1_split), s.l1_after,
-         list(s.sub_codims)]
-        for s in steps
-    ]
-    assert {**_plain_cert(cert, f.n), "steps": plain_steps} == entry["norm_halving"]
-    assert _plain_cert(cert_greedy_l1(f), f.n) == entry["greedy_l1"]
+    certs = plain_certs(f)
+    assert certs["norm_halving"] == entry["norm_halving"]
+    assert certs["greedy_l1"] == entry["greedy_l1"]
     tree, trace = build_span_query(f)
     assert tree_to_dict(tree) == entry["span_query"]["tree"]
     assert [[node.l0, node.l1_num] for node in trace.nodes] == entry["span_query"]["trace"]
+
+
+CERT_FROZEN = json.loads((Path(__file__).parent / "data" / "cert_frozen.json").read_text())
+CERT_CORPUS = dict(cert_corpus())
+
+
+@pytest.mark.parametrize("label", list(CERT_CORPUS))
+def test_certificates_frozen(label):
+    # both certificates, with norm-halving's steps, on random_poly at n = 3..10 and two families
+    assert plain_certs(CERT_CORPUS[label]) == CERT_FROZEN[label]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_greedy_cert_is_a_path_of_the_greedy_tree(n):
+    # each constraint's mask is the node's query and its bit picks the child,
+    # down to a leaf holding the certificate's value
+    for d in range(2, min(4, n) + 1):
+        for seed in range(1, 6):
+            f = generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
+            cert = cert_greedy_l1(f)
+            node = build_greedy_l1(f)[0].root
+            for c in cert.constraints:
+                assert isinstance(node, PdtNode) and node.mask == c.mask
+                node = node.child1 if c.bit else node.child0
+            assert node == PdtLeaf(cert.value)
 
 
 def test_one_transform_per_call(monkeypatch):
@@ -669,7 +684,9 @@ def _frame_chain(f, data):
             masks = [c.mask for c in recorded + more]
             if _independent(masks + [q]):
                 more.append(AffineConstraint(q, data.draw(st.integers(0, 1))))
-        spec, frame = pdt_module._restrict_with_frame(spec, frame, more)
+        for c in more:
+            t = frame.pullback(c.mask)
+            spec, frame = pdt_module._child(spec, frame, c.mask, t, c.bit)
         recorded += more
     return spec, frame, recorded
 
@@ -699,7 +716,7 @@ def test_anchored_greedy_fold_holds_at_anchor(f, data):
     spec, frame, recorded = _frame_chain(f, data)
     points = frame.points()
     anchor = int(points[data.draw(st.integers(0, points.size - 1))])
-    constraints, value = pdt_module._greedy_fold(spec, frame, anchor)
+    constraints, value = pdt_module._greedy_path(spec, frame, anchor)
     assert all(dot(c.mask, anchor) == c.bit for c in constraints)
     assert value == f.value(anchor)
     assert certificate_check(f, Certificate(tuple(recorded + constraints), value))
