@@ -248,10 +248,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_pdt_build(args) -> int:
-    f = parse_function_spec(args.fn)
-    tree, trace = STRATEGIES[args.strategy](f)
-    if args.strategy == "degree-reduce":
+def _build(f, strategy: str):
+    """``STRATEGIES[strategy](f)``, with a note on stderr when degree-reduce fell back."""
+    tree, trace = STRATEGIES[strategy](f)
+    if strategy == "degree-reduce":
         fallback = sum(1 for node in trace if node.info.get("fallback"))
         if fallback:
             print(
@@ -259,6 +259,12 @@ def _cmd_pdt_build(args) -> int:
                 f"of {len(trace)} nodes",
                 file=sys.stderr,
             )
+    return tree, trace
+
+
+def _cmd_pdt_build(args) -> int:
+    f = parse_function_spec(args.fn)
+    tree, _ = _build(f, args.strategy)
     if args.dot:
         _write_output(args.dot, args.out_dir, tree_to_dot(tree))
     depth, size, leaves = _shape(tree.root)
@@ -352,7 +358,7 @@ def _cmd_comm_sim(args) -> int:
         raise InvalidSpec(f"--x and --y must be length-{f.n} bitstrings")
     x = string_to_mask(args.x)
     y = string_to_mask(args.y)
-    tree, _ = STRATEGIES[args.strategy](f)
+    tree, _ = _build(f, args.strategy)
     tr = simulate_protocol(tree, x, y)
     _emit(
         {

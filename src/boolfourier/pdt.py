@@ -19,10 +19,13 @@ builder or certificate that needs the truth table of a restriction gathers
 it once from the frame (``_Frame.restriction``).  Both norm-halving
 sub-certificates are paths on the outer frame, so they come back in
 original coordinates.
-The degree-drop search needs no frame: ``_rref_bases`` yields each
-candidate's rows with their pivots, which give its kernel directly, and
-candidates are tested in chunks: ``_kernel_points`` fills a chunk's kernels
-with ``_bits.span_points``, and ``_drops`` runs ``core._mobius_levels``.
+The degree-drop search needs no frame.  ``_Bases`` walks the candidates'
+canonical bases as arrays, each prefix's next rows one run of a submask
+table, and the rows give each kernel directly.  Candidates are tested in
+chunks: ``_kernel_points`` fills a chunk's kernels with
+``_bits.span_points``, and ``_drops`` runs ``core._mobius_levels``.  A
+quadratic's search starts at its Dickson rank (``_first_codim``), and the
+levels below it are charged to the budget unwalked.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import heapq
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -50,6 +52,7 @@ from .core import (
     Spectrum,
     _mobius_levels,
     _xor_butterfly,
+    anf_of,
     deg2,
     to_pm_spectrum,
     wht,
@@ -63,7 +66,7 @@ from .errors import (
     NotFound,
     TooLarge,
 )
-from .gf2 import _greedy_basis
+from .gf2 import _greedy_basis, dickson_matrix, gf2_rank
 from .restrict import (
     AffineConstraint,
     _Frame,
@@ -230,18 +233,20 @@ def _column(bits: int) -> array:
 class BuildTrace(Sequence):
     """The nodes of one build in creation order, stored by column.
 
-    A node takes one entry in each of five integer columns (parent, branch,
-    mask, l0 and l1_num; None stored as -1) and one info reference instead
-    of an object.  The trace is a read-only sequence that builds each
-    ``TraceNode`` on access; a slice is a list.  Each column has the
-    narrowest type its bound allows: a tree on n variables has depth at most
-    n, so fewer than 2**(n+1) nodes, masks below 2**n and l0 <= 2**n, and
-    l1_num over the root denominator 2**n is at most 2**(1.5n) by Parseval
-    (2**36 at N_MAX).  A value that does not fit raises OverflowError rather
-    than wrapping, and leaves the trace as it was.
+    A node takes one entry in each of six integer columns (parent, branch,
+    mask, l0, l1_num and info; None stored as -1) instead of an object.
+    The info column indexes the build's distinct info dicts, so nodes that
+    share an annotation share one dict.  The trace is a read-only sequence
+    that builds each ``TraceNode`` on access; a slice is a list.  Each
+    column has the narrowest type its bound allows: a tree on n variables
+    has depth at most n, so fewer than 2**(n+1) nodes (and distinct infos),
+    masks below 2**n and l0 <= 2**n, and l1_num over the root denominator
+    2**n is at most 2**(1.5n) by Parseval (2**36 at N_MAX).  A value that
+    does not fit raises OverflowError rather than wrapping, and leaves the
+    trace as it was.
     """
 
-    __slots__ = ("n", "_columns", "_info")
+    __slots__ = ("n", "_columns", "_infos", "_info_ids")
 
     def __init__(self, n: int):
         self.n = n
@@ -251,8 +256,10 @@ class BuildTrace(Sequence):
             _column(n + 1),
             _column(n + 1),
             _column(n + n // 2 + 1),
+            _column(n + 1),
         )
-        self._info: List[dict] = []
+        self._infos: List[dict] = []  # distinct info dicts, by first use
+        self._info_ids: dict = {}  # id of each of them -> its index
 
     def add(
         self,
@@ -264,13 +271,15 @@ class BuildTrace(Sequence):
         info: dict,
     ) -> int:
         """Append a node; returns its id."""
-        node_id = len(self._info)
+        node_id = len(self)
+        info_id = self._info_ids.get(id(info), len(self._infos))
         row = (
             -1 if parent_id is None else parent_id,
             -1 if branch is None else branch,
             -1 if mask is None else mask,
             l0,
             l1_num,
+            info_id,
         )
         try:
             for column, value in zip(self._columns, row):
@@ -279,7 +288,9 @@ class BuildTrace(Sequence):
             for column in self._columns:
                 del column[node_id:]
             raise
-        self._info.append(info)
+        if info_id == len(self._infos):
+            self._info_ids[id(info)] = info_id
+            self._infos.append(info)
         return node_id
 
     @property
@@ -288,7 +299,7 @@ class BuildTrace(Sequence):
         return self
 
     def _node(self, i: int) -> TraceNode:
-        parent, branch, mask, l0, l1_num = (column[i] for column in self._columns)
+        parent, branch, mask, l0, l1_num, info_id = (column[i] for column in self._columns)
         return TraceNode(
             node_id=i,
             parent_id=None if parent < 0 else parent,
@@ -296,11 +307,11 @@ class BuildTrace(Sequence):
             mask=None if mask < 0 else mask,
             l0=l0,
             l1_num=l1_num,
-            info=self._info[i],
+            info=self._infos[info_id],
         )
 
     def __len__(self) -> int:
-        return len(self._info)
+        return len(self._columns[0])
 
     def __getitem__(self, i):
         ids = range(len(self))[i]  # negative indices, IndexError and slices as for a list
@@ -433,14 +444,17 @@ def _fold_bit(frame: _Frame, q: int, bit: int) -> int:
     return bit ^ dot(q, frame.shift)
 
 
-def _child(spec: Spectrum, frame: _Frame, q: int, t: int, beta: int) -> Tuple[Spectrum, _Frame]:
+def _child(
+    spec: Spectrum, frame: _Frame, q: int, t: int, beta: int, branches=None
+) -> Tuple[Spectrum, _Frame]:
     """``spec`` and ``frame`` on the branch <q, x> = beta of the query q along t.
 
     The spectrum stays one of the restriction, at its own denom_exp (the
-    identity ``restrict_affine`` documents).
+    identity ``restrict_affine`` documents).  ``branches`` is
+    ``frame.branches(t)`` when the caller takes both children.
     """
     b = _fold_bit(frame, q, beta)
-    return fold(spec, t, b), frame.restricted(t, b)
+    return fold(spec, t, b), (branches or frame.branches(t))[b]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +489,10 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
         )
         if q is None:
             return _LEAVES[_leaf_bit(spec)]
+        branches = frame.branches(t)
         child0, child1 = (
-            rec(*_child(spec, frame, q, t, beta), child_state, node_id, beta) for beta in (0, 1)
+            rec(*_child(spec, frame, q, t, beta, branches), child_state, node_id, beta)
+            for beta in (0, 1)
         )
         # the children are shared already, so equal subtrees get equal keys
         return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
@@ -576,64 +592,129 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 # ---------------------------------------------------------------------------
 # Degree-drop subspace search.
 
-
-def _least_submask_from(free: int, start: int) -> int:
-    """Least submask of ``free`` that is >= start, or 0 when there is none."""
-    t = start
-    while t <= free:
-        bad = t & ~free
-        if not bad:
-            return t
-        h = bad.bit_length() - 1
-        t = ((t >> h) + 1) << h  # round up past the highest bit outside free
-    return 0
+# The submasks of every free set below 2**n, free sets in order and each
+# one's submasks ascending: those of ``free`` are
+# ``submasks[starts[free]:starts[free + 1]]``.  Built on first use and grown
+# to the largest n searched, 3**n int16 entries (1 MiB at n = 12).
+_SUBMASKS = (np.array([0, 1], dtype=np.intp), np.zeros(1, dtype=np.int16))
 
 
-# A candidate subspace: its canonical rows and each row's pivot (lowest bit).
-_Candidate = Tuple[Tuple[int, ...], Tuple[int, ...]]
+def _submask_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, submasks)`` covering every free set below 2**n."""
+    global _SUBMASKS
+    starts, subs = _SUBMASKS
+    while len(starts) <= 1 << n:
+        # free set top + f: the submasks of f, then each of them with top
+        top = len(starts) - 1
+        sizes = np.diff(starts)
+        seg = np.repeat(np.arange(top), sizes)
+        dest = starts[seg] + np.arange(len(subs))  # 2 * starts[f] + place in f
+        high = np.empty_like(subs, shape=2 * len(subs))
+        high[dest] = subs
+        high[dest + sizes[seg]] = subs | top
+        starts = np.concatenate([starts, len(subs) + 2 * starts[1:]])
+        subs = np.concatenate([subs, high])
+    _SUBMASKS = starts, subs
+    return _SUBMASKS
 
 
-def _rref_bases(n: int, k: int) -> Iterator[_Candidate]:
+class _Bases:
     """Canonical reduced-echelon bases (lowest-bit pivots) of k-dim mask spaces.
 
-    Yields each subspace exactly once as (rows, pivots): its unique canonical
-    basis sorted ascending, in ascending tuple order, and each row's lowest
-    set bit as a mask.  Every row is zero at the other rows' pivots.
+    Each subspace comes once, as its unique canonical basis: rows ascending,
+    each row's pivot its lowest set bit, every row zero at the other rows'
+    pivots.  ``take`` hands them out in ascending tuple order.
+
+    The bases are a depth-first walk over prefixes, one row per level and a
+    batch of prefixes per step.  A prefix is (rows, free, union, below): its
+    next row is a submask of ``free``, the coordinates outside its pivots,
+    beyond the first ``below`` of them (so above its last row), whose lowest
+    bit is outside ``union`` (so the chosen rows are zero at the new pivot).
+    Each prefix's next rows are one run of the submask table less those
+    whose pivot is in the union, and a batch's are its runs concatenated.
     """
-    full = (1 << n) - 1
 
-    def rec(start: int, rows: Tuple[int, ...], pivots: Tuple[int, ...], union: int):
-        # a new row is zero at the chosen pivots: the submasks of free, ascending
-        free = full & ~sum(pivots)
-        last = len(rows) + 1 == k
-        t = _least_submask_from(free, start)
-        while t:
-            p = t & -t
-            if not union & p:  # chosen rows must be zero at the new pivot
-                if last:
-                    yield rows + (t,), pivots + (p,)
-                else:
-                    yield from rec(t + 1, rows + (t,), pivots + (p,), union | t)
-            t = (t - free) & free
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.starts, self.subs = _submask_table(n)
+        # batches still to walk, the next one last; complete bases are a
+        # batch of their rows alone
+        if k == 1:  # the root's extensions: every nonzero mask
+            self.pending = [(np.arange(1, 1 << n, dtype=np.int16)[:, None],)]
+        else:  # the root: no rows, every coordinate free, and 0 is no row
+            self.pending = [(
+                np.zeros((1, 0), dtype=np.int16),
+                np.array([(1 << n) - 1], dtype=np.intp),
+                np.zeros(1, dtype=np.intp),
+                np.ones(1, dtype=np.intp),
+            )]
 
-    return rec(1, (), (), 0)
+    def take(self, count: int) -> np.ndarray:
+        """The rows of the next ``count`` bases, or of all that are left: int16 (m, k)."""
+        out, got = [], 0
+        while got < count and self.pending:
+            batch = self.pending.pop()
+            rows = batch[0]
+            complete = rows.shape[1] == self.k
+            if complete:
+                cut = count - got
+            else:
+                # extend the leading prefixes whose runs fit, at least one
+                _, free, _, below = batch
+                lo = self.starts[free] + below
+                runs = self.starts[free + 1] - lo
+                ends = np.cumsum(runs)
+                cut = max(1, int(np.searchsorted(ends, max(count - got, _BLOCK), side="right")))
+            if cut < len(rows):
+                self.pending.append(tuple(a[cut:] for a in batch))
+            if complete:
+                out.append(rows[:cut])
+                got += len(out[-1])
+                continue
+            extended = self._extend(batch, lo[:cut], runs[:cut], ends[:cut])
+            if len(extended[0]):
+                self.pending.append(extended)
+        return np.concatenate(out) if out else np.zeros((0, self.k), dtype=np.int16)
+
+    def _extend(self, batch, lo: np.ndarray, runs: np.ndarray, ends: np.ndarray) -> tuple:
+        """The leading ``len(lo)`` prefixes of ``batch``, each extended by its valid next rows.
+
+        Prefix i's run of the submask table is ``runs[i]`` long from
+        ``lo[i]``, and the runs end at ``ends`` once concatenated.
+        """
+        rows, free, union, _ = batch
+        parent = np.repeat(np.arange(len(runs)), runs)
+        at = np.arange(int(ends[-1])) + (lo - ends + runs)[parent]
+        t = self.subs[at]
+        p = t & -t
+        keep = np.flatnonzero((p & union[parent]) == 0)
+        parent, t = parent[keep], t[keep]
+        extended = np.concatenate([rows[parent], t[:, None]], axis=1)
+        if extended.shape[1] == self.k:
+            return (extended,)
+        at, p, f = at[keep], p[keep], free[parent]
+        # The submasks of f - p up to t are those of f up to t without bit
+        # p.  If p is bit j of f's bits, those are the indices below m (the
+        # count of f's submasks up to t) with bit j clear.
+        m = at - self.starts[f] + 1
+        j = np.bitwise_count(f & (p - 1)).astype(np.intp)
+        below = ((m >> (j + 1)) << j) + np.minimum(m & ((2 << j) - 1), 1 << j)
+        return extended, f ^ p, union[parent] | t, below
 
 
-def _kernel_points(candidates: Sequence[_Candidate], n: int) -> np.ndarray:
+def _kernel_points(rows: np.ndarray, n: int) -> np.ndarray:
     """Column i: the 2**(n-k) points of the kernel of candidate i's rows.
 
-    For each free (non-pivot) coordinate j the kernel vector is e_j plus the
-    pivot p_i of every row t_i with bit j set; the rows vanish on it because
-    each is zero at the other rows' pivots.  ``span_points`` fills the
-    points from the (n-k, candidates) vector array, on int16 since
-    n <= _SEARCH_N_LIMIT; the candidates run along the contiguous axis, so
-    every doubling step is one long XOR.
+    ``rows`` is a (candidates, k) int16 array of canonical bases, each
+    row's pivot its lowest set bit.  For each free (non-pivot) coordinate j
+    the kernel vector is e_j plus the pivot p_i of every row t_i with bit j
+    set; the rows vanish on it because each is zero at the other rows'
+    pivots.  ``span_points`` fills the points from the (n-k, candidates)
+    vector array, on int16 since n <= _SEARCH_N_LIMIT; the candidates run
+    along the contiguous axis, so every doubling step is one long XOR.
     """
-    count = len(candidates)
-    k = len(candidates[0][0])
-    flat = chain.from_iterable(chain.from_iterable(candidates))
-    both = np.fromiter(flat, dtype=np.int16, count=2 * k * count).reshape(count, 2, k)
-    rows, pivots = both[:, 0, :], both[:, 1, :]
+    count, k = rows.shape
+    pivots = rows & -rows
     bit = np.left_shift(np.int16(1), np.arange(n, dtype=np.int16))
     hits = (rows[:, :, None] & bit) != 0
     vectors = (hits * pivots[:, :, None]).sum(axis=1, dtype=np.int16) | bit
@@ -644,17 +725,49 @@ def _kernel_points(candidates: Sequence[_Candidate], n: int) -> np.ndarray:
 def _drops(table: np.ndarray, pts: np.ndarray, heavy: np.ndarray) -> np.ndarray:
     """Per column of ``pts``: no monomial of weight >= d survives on its points.
 
-    ``heavy`` lists the monomials (rows) of weight >= d.  One gather, then
-    ``core._mobius_levels`` down the columns.
+    ``heavy`` lists the monomials (rows) of weight >= d.  One gather, packed
+    eight columns to a byte, then ``core._mobius_levels`` down the columns
+    and an OR over the heavy rows.  ``np.take`` copies its int16 indices to
+    intp, so it gathers _GATHER_POINTS points at a time: the copy of a whole
+    chunk would be four times the chunk.
     """
-    return ~_mobius_levels(table[pts])[heavy].any(axis=0)
+    values = np.empty(pts.shape, dtype=np.uint8)
+    step = max(1, _GATHER_POINTS // pts.shape[1])
+    for i in range(0, len(pts), step):
+        np.take(table, pts[i : i + step], out=values[i : i + step])
+    coeffs = _mobius_levels(np.packbits(values, axis=1))
+    return np.unpackbits(np.bitwise_or.reduce(coeffs[heavy], axis=0), count=pts.shape[1]) == 0
+
+
+def _subspace_count(n: int, k: int) -> int:
+    """The Gaussian binomial [n k]_2: the number of k-dim subspaces of GF(2)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+def _first_codim(f: BooleanFunction, d: int) -> int:
+    """The least codimension the search walks: below it no subspace drops the degree of f.
+
+    For d = 2 it is the exact answer, half the rank of the Dickson matrix:
+    the degree drops on V exactly when the quadratic part's alternating
+    form vanishes on V, and the largest such V of a form of rank 2h has
+    codimension h.  Otherwise 1.
+    """
+    if d != 2:
+        return 1
+    return gf2_rank(dickson_matrix(anf_of(f)).rows) // 2
 
 
 # A chunk starts at _CHUNK_START candidates and doubles, up to _CHUNK_POINTS
 # kernel points: searches that end early stay cheap, and the arrays of one
-# chunk stay well below a MiB.
+# chunk stay well below a MiB.  Bases are made _BLOCK or more at a time.
 _CHUNK_START = 16
 _CHUNK_POINTS = 1 << 16
+_GATHER_POINTS = 1 << 14
+_BLOCK = 256
 
 
 def _first_drop(
@@ -668,31 +781,42 @@ def _first_drop(
     degree drops on one coset of V exactly when it drops on every coset, and
     each candidate is tested on the coset through 0 only.
 
-    Candidates are the canonical reduced-echelon bases of ``_rref_bases``, in
+    Candidates are the canonical reduced-echelon bases of ``_Bases``, in
     increasing codimension and ascending tuple order.  They are tested in
     chunks that keep that order (``_kernel_points``, then ``_drops``), so
     the first hit of a chunk is the first candidate that drops, and a chunk
-    never reaches past the budget.  Raises NotFound when the candidate
-    budget (None: unbounded) runs out or no drop exists within max_codim.
+    never reaches past the budget.  The codimensions below
+    ``_first_codim`` (those under the Dickson rank of a quadratic)
+    hold no drop and are not walked, but each is charged its full count
+    [n k]_2 against the budget, so the budget runs out where a walk of them
+    would run out.  Raises NotFound when the candidate budget (None:
+    unbounded) runs out or no drop exists within max_codim.
     """
     n = f.n
     if n > _SEARCH_N_LIMIT:
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
     d = deg2(f)
+    first = _first_codim(f, d)
     left = max_candidates  # candidates the budget still allows; None: unbounded
     for k in range(1, min(max_codim, n) + 1):
+        if k < first:  # no drop at this codimension: charge it whole, unwalked
+            if left is not None:
+                left -= _subspace_count(n, k)
+                if left < 0:
+                    raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
+            continue
         heavy = np.flatnonzero(popcounts(n - k) >= d)
         cap = _CHUNK_POINTS >> (n - k)
-        bases = _rref_bases(n, k)
+        bases = _Bases(n, k)
         size = min(_CHUNK_START, cap)
-        while chunk := list(islice(bases, size if left is None else min(size, left))):
-            drops = _drops(f.table, _kernel_points(chunk, n), heavy)
+        while len(rows := bases.take(size if left is None else min(size, left))):
+            drops = _drops(f.table, _kernel_points(rows, n), heavy)
             if drops.any():
-                return chunk[int(drops.argmax())][0]
+                return tuple(rows[int(drops.argmax())].tolist())
             if left is not None:
-                left -= len(chunk)
+                left -= len(rows)
             size = min(2 * size, cap)
-        if left == 0 and next(bases, None) is not None:
+        if left == 0 and len(bases.take(1)):
             raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
     raise NotFound(f"no degree drop within codimension {max_codim}")
 

@@ -152,8 +152,14 @@ class _Frame:
 
     def restricted(self, t: int, b: int) -> "_Frame":
         """Frame after restricting the current coordinates along <t, y> = b."""
+        return self.branches(t)[b]
+
+    def branches(self, t: int) -> Tuple["_Frame", "_Frame"]:
+        """The frames after restricting along <t, y> = 0 and along <t, y> = 1.
+
+        They share one basis and one dual list, and differ in the shift.
+        """
         p = lowest_set_bit(t)
-        h = highest_set_bit(t)
         # t annihilates the new basis vectors (current coordinates e_k ^ t_k e_p),
         # so q vanishes on them and XORing q keeps duality; the new span is
         # {v : <q, v> = 0}, with pivots P minus q's highest bit, which the XOR clears.
@@ -164,8 +170,8 @@ class _Frame:
             if k != p:
                 new_basis.append(self.basis[k] ^ (self.basis[p] if (t >> k) & 1 else 0))
                 new_dual.append(self.dual[k] ^ (q if (self.dual[k] >> top) & 1 else 0))
-        shift = self.shift ^ (self.basis[h] if b else 0)
-        return _Frame(new_basis, new_dual, shift)
+        shift1 = self.shift ^ self.basis[highest_set_bit(t)]
+        return _Frame(new_basis, new_dual, self.shift), _Frame(new_basis, new_dual, shift1)
 
     def points(self) -> np.ndarray:
         """The original point of every current point y, at index y."""

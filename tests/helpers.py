@@ -13,6 +13,7 @@ degree-drop search behind the batched one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -274,34 +275,58 @@ def _packed_drop(bits: Sequence[int], d: int) -> bool:
         step = 1 << i
         period_mask = ((1 << size) - 1) // ((1 << (2 * step)) - 1) * ((1 << step) - 1)
         word ^= (word & period_mask) << step
-    heavy = sum(1 << x for x in range(size) if x.bit_count() >= d)
-    return word & heavy == 0
+    return word & _heavy_word(size, d) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _heavy_word(size: int, d: int) -> int:
+    """The bits x < size of weight >= d, as one int."""
+    return sum(1 << x for x in range(size) if x.bit_count() >= d)
 
 
 def first_drop_reference(f, max_codim: int, max_candidates: Optional[int]) -> Tuple[int, ...]:
     """Per-candidate reference for the package's degree-drop search.
 
     Candidates are ``rref_bases_reference`` in increasing codimension, each
-    tested alone on the kernel of its rows.  The kernel's points in
-    ascending order are a linear parametrization of it (by its basis
-    reduced on highest bits, in order), so f's table on them has the
-    restriction's degree.  Raises the package's NotFound and TooLarge with
-    the same texts.
+    tested alone on the kernel of its rows (``_kernel_drops``).  Raises the
+    package's NotFound and TooLarge with the same texts.
     """
     if f.n > 12:
         raise TooLarge("subspace search supports n <= 12")
-    d = deg_oracle(f.table)
-    xs = np.arange(1 << f.n)
+    verdicts = _kernel_drops(f.table.tobytes(), f.n)
     examined = 0
     for k in range(1, min(max_codim, f.n) + 1):
         for rows in rref_bases_reference(f.n, k):
             if max_candidates is not None and examined >= max_candidates:
                 raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
             examined += 1
-            odd = np.bitwise_count(xs[None, :] & np.array(rows)[:, None]) & 1
-            if _packed_drop(f.table[np.flatnonzero(~odd.any(axis=0))], d):
+            if verdicts[rows]:
                 return rows
     raise NotFound(f"no degree drop within codimension {max_codim}")
+
+
+class _KernelDrops(dict):
+    """rows -> whether the degree of the table drops on the kernel of rows, computed on first use.
+
+    The kernel's points in ascending order are a linear parametrization of
+    it (by its basis reduced on highest bits, in order), so the table on
+    them has the restriction's degree.
+    """
+
+    def __init__(self, table: bytes, n: int):
+        super().__init__()
+        self.table = np.frombuffer(table, dtype=np.uint8)
+        self.d = deg_oracle(self.table)
+        self.xs = np.arange(1 << n)
+
+    def __missing__(self, rows: Tuple[int, ...]) -> bool:
+        odd = np.bitwise_count(self.xs[None, :] & np.array(rows)[:, None]) & 1
+        self[rows] = _packed_drop(self.table[np.flatnonzero(~odd.any(axis=0))], self.d)
+        return self[rows]
+
+
+# One function's verdicts serve every (max_codim, budget) pair tried on it.
+_kernel_drops = functools.lru_cache(maxsize=2)(_KernelDrops)
 
 
 # ---------------------------------------------------------------------------

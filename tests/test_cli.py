@@ -291,6 +291,28 @@ def test_degree_reduce_without_fallback_is_quiet(capsys):
     validate(out, "pdt_build")
 
 
+def test_comm_sim_degree_reduce_fallback_note(capsys):
+    # the same note as pdt build when the search gives up at the root; the
+    # transcript on stdout is the span-query tree's
+    spec = "family:random_poly(n=9,d=3,seed=1)"
+    argv = ("comm", "sim", spec, "--x", "101100101", "--y", "011001110")
+    code, out, err = run(capsys, *argv, "--strategy", "degree-reduce")
+    assert code == 0
+    assert err == "note: the degree-drop search gave up; span queries built 1023 of 1023 nodes\n"
+    validate(out, "comm_sim")
+    _, span_out, span_err = run(capsys, *argv, "--strategy", "span-query")
+    assert span_err == ""
+    assert json.loads(out)["rounds"] == json.loads(span_out)["rounds"]
+
+
+def test_comm_sim_degree_reduce_without_fallback_is_quiet(capsys):
+    spec = "family:random_poly(n=5,d=3,seed=1)"
+    code, out, err = run(capsys, "comm", "sim", spec, "--x", "10110", "--y", "01100",
+                         "--strategy", "degree-reduce")
+    assert (code, err) == (0, "")
+    validate(out, "comm_sim")
+
+
 def test_constant_rank_exit_2(capsys):
     code, _, err = run(capsys, "rank", "tt:2:0")
     assert code == 2

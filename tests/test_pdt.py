@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boolfourier import (
+    ANF,
     AffineConstraint,
     BooleanFunction,
     BuildTrace,
@@ -25,6 +26,7 @@ from boolfourier import (
     PdtNode,
     Spectrum,
     TooLarge,
+    anf_to_function,
     apply_linear,
     build_degree_reduce,
     build_greedy_l1,
@@ -351,6 +353,20 @@ def test_degree_drop_is_shift_free(data):
     assert drops == [drops[0]] * len(drops)
 
 
+def _all_bases(n, k):
+    """The rows of every canonical basis of the k-dim mask spaces."""
+    return pdt_module._Bases(n, k).take(1 << 20)
+
+
+def _subspaces(n, k):
+    """[n k]_2 by the recurrence [n k] = [n-1 k-1] + 2^k [n-1 k]."""
+    if k == 0 or k == n:
+        return 1
+    if not 0 < k < n:
+        return 0
+    return _subspaces(n - 1, k - 1) + (1 << k) * _subspaces(n - 1, k)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rref_frames_are_kernels_with_oracle_verdicts(n):
     # Every candidate the search can examine at this n: its kernel points
@@ -363,15 +379,14 @@ def test_rref_frames_are_kernels_with_oracle_verdicts(n):
     tables = [[int(v) for v in f.table] for f in fs]
     degrees = [deg_oracle(t) for t in tables]
     for k in range(1, n + 1):
-        candidates = list(pdt_module._rref_bases(n, k))
-        points = pdt_module._kernel_points(candidates, n)
-        assert points.shape == (1 << (n - k), len(candidates))
+        rows = _all_bases(n, k)
+        points = pdt_module._kernel_points(rows, n)
+        assert points.shape == (1 << (n - k), len(rows))
         verdicts = []
         for f, d in zip(fs, degrees):
             heavy = np.flatnonzero(popcounts(n - k) >= d)
             verdicts.append(pdt_module._drops(f.table, points, heavy).tolist())
-        for i, (masks, pivots) in enumerate(candidates):
-            assert pivots == tuple(t & -t for t in masks)
+        for i, masks in enumerate(rows.tolist()):
             listed = points[:, i].tolist()
             assert len(set(listed)) == 1 << (n - k)
             assert all(dot(t, x) == 0 for t in masks for x in listed)
@@ -383,9 +398,22 @@ def test_rref_frames_are_kernels_with_oracle_verdicts(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rref_bases_are_the_reference_sequence(n):
+    # The bases come out of the walk's concatenated runs in pieces of any
+    # size, the first chunk sizes of the search among them; together they
+    # are the reference sequence.
+    sizes = itertools.cycle((1, 16, 3, 32, 64, 1000, 7))
     for k in range(1, n + 1):
-        rows = [masks for masks, _ in pdt_module._rref_bases(n, k)]
+        bases = pdt_module._Bases(n, k)
+        rows = []
+        while len(got := bases.take(next(sizes))):
+            rows += map(tuple, got.tolist())
         assert rows == list(rref_bases_reference(n, k))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bases_per_level_count_the_subspaces(n):
+    for k in range(1, n + 1):
+        assert len(_all_bases(n, k)) == _subspaces(n, k) == pdt_module._subspace_count(n, k)
 
 
 _FIRST_DROP_CASES = [("random_poly", {"n": n, "d": min(n, 3), "seed": 1}) for n in range(2, 9)] + [
@@ -394,6 +422,8 @@ _FIRST_DROP_CASES = [("random_poly", {"n": n, "d": min(n, 3), "seed": 1}) for n 
     ("majority", {"n": 5}),
     ("majority", {"n": 7}),
     ("random_poly", {"n": 13, "d": 3, "seed": 1}),
+] + [("random_poly", {"n": n, "d": 2, "seed": 1}) for n in range(4, 9)] + [
+    ("bent_ip", {"k": 8}),
 ]
 
 
@@ -402,6 +432,9 @@ def test_first_drop_matches_per_candidate_reference(kind, params):
     # Chunks keep the candidate order and stop at the budget, so the batched
     # search returns the same first witness and the same NotFound text as
     # testing one candidate at a time, across chunk boundaries (16, 32, ...).
+    # Quadratics start at their Dickson rank and are charged each skipped
+    # level whole, so the budgets also sit on the first two level
+    # boundaries, [n 1] and [n 1] + [n 2], and one either side.
     f = generate(FamilySpec(kind, params))
 
     def outcome(search, max_codim, budget):
@@ -410,10 +443,55 @@ def test_first_drop_matches_per_candidate_reference(kind, params):
         except (NotFound, TooLarge) as exc:
             return f"{type(exc).__name__}: {exc}"
 
+    levels = [_subspaces(f.n, 1), _subspaces(f.n, 1) + _subspaces(f.n, 2)]
+    edges = [b + e for b in levels for e in (-1, 0, 1)]
     for max_codim in (0, 1, 2, 3, 4, 6):
-        for budget in (None, 0, 1, 15, 16, 17, 31, 32, 33, 100, 50_000):
+        for budget in [None, 0, 1, 15, 16, 17, 31, 32, 33, 100, 50_000] + edges:
             got = outcome(pdt_module._first_drop, max_codim, budget)
             assert got == outcome(first_drop_reference, max_codim, budget), (max_codim, budget)
+
+
+@st.composite
+def quadratics(draw, max_n):
+    """A function of degree exactly 2 on 2..max_n variables, from a random ANF."""
+    n = draw(st.integers(2, max_n))
+    pairs = [1 << i | 1 << j for j in range(n) for i in range(j)]
+    quadratic = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    affine = draw(st.lists(st.sampled_from([0] + [1 << i for i in range(n)]), unique=True))
+    return anf_to_function(ANF(n, frozenset(quadratic + affine)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(functions(4))
+def test_dickson_start_is_at_most_the_rank(f):
+    assume(not f.is_constant())
+    start = pdt_module._first_codim(f, deg2(f))
+    assert start <= rank_oracle(list(f.table), max_codim=f.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratics(6))
+def test_dickson_start_is_the_rank_of_a_quadratic(f):
+    # the per-candidate reference walks every codimension from 1
+    start = pdt_module._first_codim(f, 2)
+    assert start == rank_exact(f, max_codim=f.n).rank
+    assert start == len(first_drop_reference(f, f.n, None))
+
+
+def test_quadratic_search_walks_only_its_dickson_level(monkeypatch):
+    # random_poly(10,2,1) has rank 5: the 60,266,976 candidates of codim <= 4
+    # are charged to the budget, and only codim 5 is walked
+    f = generate(FamilySpec("random_poly", {"n": 10, "d": 2, "seed": 1}))
+    bases = pdt_module._Bases
+
+    def walk_codim_5_only(n, k):
+        assert k == 5, f"codim {k} walked"
+        return bases(n, k)
+
+    monkeypatch.setattr(pdt_module, "_Bases", walk_codim_5_only)
+    assert rank_exact(f, max_codim=5, max_candidates=10**8).rank == 5
+    with pytest.raises(NotFound, match="candidate budget 60266975 exhausted at codim 4"):
+        rank_exact(f, max_codim=5, max_candidates=60_266_975)
 
 
 def test_rank_witness_order_is_ascending_tuple():
