@@ -173,10 +173,8 @@ def _parse_family(body: str, base: int) -> Tuple[BooleanFunction, FamilySpec]:
     try:
         spec = FamilySpec(kind, params)
         return generate(spec), spec
-    except InvalidSpec as exc:
-        if getattr(exc, "position", None) is None:
-            raise _spec_error(str(exc), params_pos) from exc
-        raise
+    except InvalidSpec as exc:  # no generator knows a position in the spec
+        raise _spec_error(str(exc), params_pos) from exc
 
 
 def parse_function_spec(text: str) -> BooleanFunction:
@@ -465,7 +463,7 @@ def _cmd_sweep(args) -> int:
             m_arg = pm.l1_num() / float(1 << pm.denom_exp)
             bound = f"{bound_B(d, max(1.0, m_arg)):.6f}"
         for strat in strategies:
-            tree, _ = STRATEGIES[strat](f)
+            tree, _ = _build(f, strat)
             rows.append(
                 {
                     "family": family_str,

@@ -13,7 +13,8 @@ the root denominator ``2**f.n`` and are comparable along every path.  Every
 tree builder is a chooser over ``_grow``, which expands both branches; a
 certificate is one root-to-leaf path of the greedy tree (``_greedy_path``),
 following either the preferred branch or the one holding an anchor point.
-Both take each fold from ``_fold_step`` and each branch from ``_child``.
+Both take each fold from ``_fold_step``, turn an answer into a fold bit by
+``_Frame.fold_bit`` and take the branch's frame from ``_Frame.branches``.
 The frame is ``restrict._Frame``, the one code path that restricts: a
 builder or certificate that needs the truth table of a restriction gathers
 it once from the frame (``_Frame.restriction``).  Both norm-halving
@@ -31,6 +32,7 @@ levels below it are charged to the budget unwalked.
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -235,15 +237,15 @@ class BuildTrace(Sequence):
 
     A node takes one entry in each of six integer columns (parent, branch,
     mask, l0, l1_num and info; None stored as -1) instead of an object.
-    The info column indexes the build's distinct info dicts, so nodes that
-    share an annotation share one dict.  The trace is a read-only sequence
-    that builds each ``TraceNode`` on access; a slice is a list.  Each
-    column has the narrowest type its bound allows: a tree on n variables
-    has depth at most n, so fewer than 2**(n+1) nodes (and distinct infos),
-    masks below 2**n and l0 <= 2**n, and l1_num over the root denominator
-    2**n is at most 2**(1.5n) by Parseval (2**36 at N_MAX).  A value that
-    does not fit raises OverflowError rather than wrapping, and leaves the
-    trace as it was.
+    The info column indexes the build's distinct info dicts, interned by
+    value, so nodes with equal annotations share one dict.  The trace is a
+    read-only sequence that builds each ``TraceNode`` on access; a slice is
+    a list.  Each column has the narrowest type its bound allows: a tree on
+    n variables has depth at most n, so fewer than 2**(n+1) nodes (and
+    distinct infos), masks below 2**n and l0 <= 2**n, and l1_num over the
+    root denominator 2**n is at most 2**(1.5n) by Parseval (2**36 at
+    N_MAX).  A value that does not fit raises OverflowError rather than
+    wrapping, and leaves the trace as it was.
     """
 
     __slots__ = ("n", "_columns", "_infos", "_info_ids")
@@ -259,7 +261,7 @@ class BuildTrace(Sequence):
             _column(n + 1),
         )
         self._infos: List[dict] = []  # distinct info dicts, by first use
-        self._info_ids: dict = {}  # id of each of them -> its index
+        self._info_ids: dict = {}  # items of each of them -> its index
 
     def add(
         self,
@@ -272,7 +274,8 @@ class BuildTrace(Sequence):
     ) -> int:
         """Append a node; returns its id."""
         node_id = len(self)
-        info_id = self._info_ids.get(id(info), len(self._infos))
+        key = tuple(info.items())
+        info_id = self._info_ids.get(key, len(self._infos))
         row = (
             -1 if parent_id is None else parent_id,
             -1 if branch is None else branch,
@@ -289,7 +292,7 @@ class BuildTrace(Sequence):
                 del column[node_id:]
             raise
         if info_id == len(self._infos):
-            self._info_ids[id(info)] = info_id
+            self._info_ids[key] = info_id
             self._infos.append(info)
         return node_id
 
@@ -436,25 +439,14 @@ def _fold_step(pick, spec: Spectrum) -> Tuple[int, int, dict]:
     return next(iter(spec.coeffs), 0), 0, {}
 
 
-def _fold_bit(frame: _Frame, q: int, bit: int) -> int:
-    """Fold bit of the answer <q, x> = bit to q = frame.query_mask(t), and back.
-
-    On the frame's subspace <q, x> = <t, y> ^ <q, shift>.
-    """
-    return bit ^ dot(q, frame.shift)
-
-
-def _child(
-    spec: Spectrum, frame: _Frame, q: int, t: int, beta: int, branches=None
-) -> Tuple[Spectrum, _Frame]:
+def _child(spec: Spectrum, frame: _Frame, q: int, t: int, beta: int) -> Tuple[Spectrum, _Frame]:
     """``spec`` and ``frame`` on the branch <q, x> = beta of the query q along t.
 
     The spectrum stays one of the restriction, at its own denom_exp (the
-    identity ``restrict_affine`` documents).  ``branches`` is
-    ``frame.branches(t)`` when the caller takes both children.
+    identity ``restrict_affine`` documents).
     """
-    b = _fold_bit(frame, q, beta)
-    return fold(spec, t, b), (branches or frame.branches(t))[b]
+    b = frame.fold_bit(q, beta)
+    return fold(spec, t, b), frame.branches(t)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +464,8 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
     constant ``spec``.  ``state`` is the root's state.
     """
     trace = BuildTrace(f.n)
-    # Equal annotations share one dict and equal subtrees one node, so what
-    # a build leaves behind grows with its distinct parts.
-    infos: dict = {}
+    # Equal subtrees share one node (and the trace equal annotations one
+    # dict), so what a build leaves behind grows with its distinct parts.
     subtrees: dict = {}
 
     def rec(spec: Spectrum, frame: _Frame, state, parent, branch) -> PdtNodeOrLeaf:
@@ -485,13 +476,14 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
             mask=q,
             l0=spec.l0(),
             l1_num=spec.l1_num(),
-            info=infos.setdefault(tuple(info.items()), info),
+            info=info,
         )
         if q is None:
             return _LEAVES[_leaf_bit(spec)]
         branches = frame.branches(t)
+        b0 = frame.fold_bit(q, 0)  # answer beta folds on b0 ^ beta
         child0, child1 = (
-            rec(*_child(spec, frame, q, t, beta, branches), child_state, node_id, beta)
+            rec(fold(spec, t, b0 ^ beta), branches[b0 ^ beta], child_state, node_id, beta)
             for beta in (0, 1)
         )
         # the children are shared already, so equal subtrees get equal keys
@@ -638,16 +630,14 @@ class _Bases:
         self.k = k
         self.starts, self.subs = _submask_table(n)
         # batches still to walk, the next one last; complete bases are a
-        # batch of their rows alone
-        if k == 1:  # the root's extensions: every nonzero mask
-            self.pending = [(np.arange(1, 1 << n, dtype=np.int16)[:, None],)]
-        else:  # the root: no rows, every coordinate free, and 0 is no row
-            self.pending = [(
-                np.zeros((1, 0), dtype=np.int16),
-                np.array([(1 << n) - 1], dtype=np.intp),
-                np.zeros(1, dtype=np.intp),
-                np.ones(1, dtype=np.intp),
-            )]
+        # batch of their rows alone.  The root: no rows, every coordinate
+        # free, and 0 is no row.
+        self.pending = [(
+            np.zeros((1, 0), dtype=np.int16),
+            np.array([(1 << n) - 1], dtype=np.intp),
+            np.zeros(1, dtype=np.intp),
+            np.ones(1, dtype=np.intp),
+        )]
 
     def take(self, count: int) -> np.ndarray:
         """The rows of the next ``count`` bases, or of all that are left: int16 (m, k)."""
@@ -797,24 +787,22 @@ def _first_drop(
         raise TooLarge(f"subspace search supports n <= {_SEARCH_N_LIMIT}")
     d = deg2(f)
     first = _first_codim(f, d)
-    left = max_candidates  # candidates the budget still allows; None: unbounded
+    left = math.inf if max_candidates is None else max_candidates  # candidates still allowed
     for k in range(1, min(max_codim, n) + 1):
         if k < first:  # no drop at this codimension: charge it whole, unwalked
-            if left is not None:
-                left -= _subspace_count(n, k)
-                if left < 0:
-                    raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
+            left -= _subspace_count(n, k)
+            if left < 0:
+                raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
             continue
         heavy = np.flatnonzero(popcounts(n - k) >= d)
         cap = _CHUNK_POINTS >> (n - k)
         bases = _Bases(n, k)
         size = min(_CHUNK_START, cap)
-        while len(rows := bases.take(size if left is None else min(size, left))):
+        while len(rows := bases.take(min(size, left))):
             drops = _drops(f.table, _kernel_points(rows, n), heavy)
             if drops.any():
                 return tuple(rows[int(drops.argmax())].tolist())
-            if left is not None:
-                left -= len(rows)
+            left -= len(rows)
             size = min(2 * size, cap)
         if left == 0 and len(bases.take(1)):
             raise NotFound(f"candidate budget {max_candidates} exhausted at codim {k}")
@@ -918,7 +906,7 @@ def _greedy_path(
         if t == 0:
             return out, _leaf_bit(spec)
         q = frame.query_mask(t)
-        beta = _fold_bit(frame, q, b) if anchor is None else dot(q, anchor)
+        beta = frame.fold_bit(q, b) if anchor is None else dot(q, anchor)
         out.append(AffineConstraint(q, beta))
         spec, frame = _child(spec, frame, q, t, beta)
 

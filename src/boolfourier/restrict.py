@@ -12,7 +12,7 @@ A fold along a nonzero direction ``t`` merges the coefficient pair
   numerically smaller one), giving the merged numerator
   ``num(u) + (-1)^b num(u^t)`` with no sign correction.
 
-``fold`` and ``_Frame.restricted`` are the only code that knows these
+``fold`` and ``_Frame.branches`` are the only code that knows these
 coordinates.  A ``_Frame`` embeds the coordinates left by a chain of
 restrictions into the original space, and ``_Frame.points`` lists the
 original point of every current one.  So every restriction, builder and
@@ -146,13 +146,14 @@ class _Frame:
                 t |= 1 << i
         return t
 
-    def local(self, c: AffineConstraint) -> Tuple[int, int]:
-        """An original constraint as (t, b) with <t, y> = b in current coordinates."""
-        return self.pullback(c.mask), c.bit ^ dot(c.mask, self.shift)
+    def fold_bit(self, q: int, beta: int) -> int:
+        """Fold bit of the answer <q, x> = beta to q = query_mask(t), and back.
 
-    def restricted(self, t: int, b: int) -> "_Frame":
-        """Frame after restricting the current coordinates along <t, y> = b."""
-        return self.branches(t)[b]
+        On the frame's subspace <q, x> = <t, y> ^ <q, shift>, so the answer's
+        branch is ``branches(t)[fold_bit(q, beta)]``.  The one rule between
+        answers and fold bits.
+        """
+        return beta ^ dot(q, self.shift)
 
     def branches(self, t: int) -> Tuple["_Frame", "_Frame"]:
         """The frames after restricting along <t, y> = 0 and along <t, y> = 1.
@@ -180,7 +181,7 @@ class _Frame:
     def restriction(self, f: BooleanFunction) -> BooleanFunction:
         """f on the frame's subspace, in the frame's coordinates.
 
-        One gather.  ``restricted`` maps the fold's quotient basis into
+        One gather.  ``branches`` maps the fold's quotient basis into
         original coordinates, so the table's transform is the iterated fold
         along the chain of (t, b) that built the frame.
         """
@@ -205,11 +206,11 @@ def restrict_affine(
         _check_direction(f.n, c.mask)
     frame = _Frame.identity(f.n)
     for c in constraints:
-        t, b = frame.local(c)
+        t = frame.pullback(c.mask)
         # after independent constraints, exactly their span pulls back to 0
         if t == 0:
             raise DependentConstraints("constraint masks are linearly dependent")
-        frame = frame.restricted(t, b)
+        frame = frame.branches(t)[frame.fold_bit(c.mask, c.bit)]
     return frame.restriction(f)
 
 

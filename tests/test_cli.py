@@ -401,6 +401,29 @@ def test_pdt_check_boolean_fields_exit_2(capsys, tmp_path, tree):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"n": 2, "root": {"query": "00", "child0": {"value": 0}, "child1": {"value": 1}}}',
+         "error: query mask 0 out of range for n=2\n"),
+        ('{"n": 3, "root": {"query": "100", "child0": {"value": 0}, "child1": {"value": 1}}}',
+         "error: tree on 3 variables, f on 2\n"),
+        ('{"n": 2, "root": {"query": "0a", "child0": {"value": 0}, "child1": {"value": 1}}}',
+         "error: invalid bit 'a' at position 1\n"),
+        ('{"n": 2, "root": {"qu', "error: tree file is not valid JSON: "),
+        (None, "error: cannot read tree file: "),
+    ],
+    ids=["zero-query", "wrong-n", "bad-bit", "truncated", "missing"],
+)
+def test_pdt_check_bad_tree_file_exit_2(capsys, tmp_path, text, err):
+    tree_file = tmp_path / "tree.json"
+    if text is not None:
+        tree_file.write_text(text)
+    code, out, got = run(capsys, "pdt", "check", "anf:2:x1", str(tree_file))
+    assert (code, out) == (2, "")
+    assert got.startswith(err)
+
+
 # ---------------------------------------------------------------------------
 # File outputs.
 
@@ -446,6 +469,21 @@ def test_sweep_csv_golden(capsys, tmp_path):
         "rank_exact,matrix_rank,log2_rank,bound_B\n"
         '"family:random_poly(n=3,d=2,seed=1)",3,2,5,3,2,greedy-l1,2,2,1,5,2.321928,\n'
         '"family:random_poly(n=3,d=2,seed=2)",3,2,4,1,1,greedy-l1,2,1,1,4,2.000000,\n'
+    )
+
+
+def test_sweep_degree_reduce_fallback_note(capsys, tmp_path):
+    # n = 13 is past the degree-drop search and the exact rank cells, so
+    # those are empty and the tree comes from the span-query fallback, with
+    # the note pdt build prints
+    argv = ["sweep", "--family", "parity", "--n", "13..13", "--out", str(tmp_path / "p.csv")]
+    code, out, err = run(capsys, *argv, "--strategies", "degree-reduce")
+    assert (code, out) == (0, "")
+    assert err == "note: the degree-drop search gave up; span queries built 3 of 3 nodes\n"
+    _, _, build_err = run(capsys, "pdt", "build", "family:parity(n=13)", "--strategy", "degree-reduce")
+    assert build_err == err
+    assert (tmp_path / "p.csv").read_text().splitlines()[1] == (
+        "family:parity(n=13),13,1,2,1,1,degree-reduce,1,1,,,,"
     )
 
 

@@ -55,8 +55,11 @@ EXPECTED_CHECKS = [
         BooleanFunction(3, [1] * 8),
         BooleanFunction(3, [0] * 8),
         generate(FamilySpec("random_poly", {"n": 5, "d": 3, "seed": 7})),
+        # no fold direction and no linear map: those checks hold vacuously
+        BooleanFunction(0, [0]),
+        BooleanFunction(0, [1]),
     ],
-    ids=["ip4", "maj5", "const1", "const0", "rand"],
+    ids=["ip4", "maj5", "const1", "const0", "rand", "n0-zero", "n0-one"],
 )
 def test_invariant_report_overall(f):
     rep = invariant_report(f)
