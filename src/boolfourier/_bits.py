@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "dot",
     "lex_key",
+    "lex_keys",
     "mask_to_string",
     "string_to_mask",
     "lowest_set_bit",
@@ -35,6 +36,20 @@ def lex_key(mask: int, n: int) -> int:
     for i in range(n):
         key = (key << 1) | ((mask >> i) & 1)
     return key
+
+
+# Byte b with its eight bits in reverse order.
+_REVERSED_BYTE = (((np.arange(256)[:, None] >> np.arange(8)) & 1) << np.arange(7, -1, -1)).sum(
+    axis=1, dtype=np.int64
+)
+
+
+def lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """``lex_key`` of every mask of an int64 array, a byte at a time."""
+    keys = np.zeros_like(masks)
+    for shift in range(0, n, 8):
+        keys = (keys << 8) | _REVERSED_BYTE[(masks >> shift) & 0xFF]
+    return keys >> (-n % 8)
 
 
 def mask_to_string(mask: int, n: int) -> str:

@@ -105,66 +105,76 @@ def _echelon_mod_q(a: np.ndarray) -> List[int]:
     """Row echelon form over GF(q) of int64 residues, in place; the pivot columns.
 
     Forward elimination with row swaps, one panel of _PANEL columns at a
-    time.  Inside a panel each pivot updates the panel's columns only, in
-    the rows with a nonzero entry below it.  Those entries stay in place as
-    its multipliers, as in an LU factorization; they are taken relative to
-    the pivot, so the pivot's inverse scales the pivot row instead.  Then
-    one triangular pass gives the pivot rows right of the panel, and one
-    matmul, L21 @ U12, updates the trailing block, which is reduced mod q
-    once.  The pivots are the first columns independent of those before
-    them.  On return the first len(pivots) rows hold the echelon rows,
-    reduced, with multipliers at the pivot columns left of their own pivot.
+    time (``_eliminate_panel``).  The pivots are the first columns
+    independent of those before them.  On return the first len(pivots)
+    rows hold the echelon rows, reduced, with multipliers at the pivot
+    columns left of their own pivot.
+    """
+    pivots: List[int] = []
+    for c0 in range(0, a.shape[1], _PANEL):
+        _eliminate_panel(a, c0, pivots)
+    return pivots
+
+
+def _eliminate_panel(a: np.ndarray, c0: int, pivots: List[int]) -> None:
+    """One panel of ``_echelon_mod_q``: columns c0 to c0 + _PANEL, appending its pivots.
+
+    The rows from len(pivots) down are those left.  Inside the panel each
+    pivot updates the panel's columns only, in the rows with a nonzero
+    entry below it.  Those entries stay in place as its multipliers, as in
+    an LU factorization; they are taken relative to the pivot, so the
+    pivot's inverse scales the pivot row instead.  Then one triangular pass
+    gives the pivot rows right of the panel, and one matmul, L21 @ U12,
+    updates the trailing block.  Both are reduced mod q once, so every
+    entry right of the panel, in the panel's pivot rows and below, is a
+    residue again.
     """
     rows, cols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c0 in range(0, cols, _PANEL):
-        c1 = min(c0 + _PANEL, cols)
-        r0 = r
-        inverses = []
-        # a column that is zero in the rows left at the panel's start stays zero
-        for c in (c0 + np.flatnonzero(a[r:, c0:c1].any(axis=0))).tolist():
-            col = a[r:, c]
-            col %= _RANK_PRIME
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                i = r + int(nz[0])
-                row = a[i].copy()
-                a[i] = a[r]
-                a[r] = row
-            inverses.append(pow(int(a[r, c]), -1, _RANK_PRIME))
-            if nz.size > 1:
-                hit = r + nz[1:]
-                scaled = a[r, c + 1 : c1] % _RANK_PRIME * inverses[-1] % _RANK_PRIME
-                a[hit, c + 1 : c1] -= a[hit, c, None] * scaled
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        if r == r0:
+    c1 = min(c0 + _PANEL, cols)
+    r0 = r = len(pivots)
+    inverses = []
+    # a column that is zero in the rows left at the panel's start stays zero
+    for c in (c0 + np.flatnonzero(a[r:, c0:c1].any(axis=0))).tolist():
+        col = a[r:, c]
+        col %= _RANK_PRIME
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
             continue
-        a[r0:r, c0:c1] %= _RANK_PRIME
-        if c1 == cols:
+        if nz[0]:
+            i = r + int(nz[0])
+            row = a[i].copy()
+            a[i] = a[r]
+            a[r] = row
+        inverses.append(pow(int(a[r, c]), -1, _RANK_PRIME))
+        if nz.size > 1:
+            hit = r + nz[1:]
+            scaled = a[r, c + 1 : c1] % _RANK_PRIME * inverses[-1] % _RANK_PRIME
+            a[hit, c + 1 : c1] -= a[hit, c, None] * scaled
+        pivots.append(c)
+        r += 1
+        if r == rows:
             break
-        panel = pivots[r0 - r :]
-        inv = np.array(inverses, dtype=np.int64)
-        # U12 = L11^-1 A12, with L11 unit lower: multipliers times inverses
-        u = a[r0:r, c1:]
-        lower = np.tril(a[r0:r, panel], -1) * inv % _RANK_PRIME
-        for j in np.flatnonzero(lower.any(axis=0)).tolist():
-            u[j] %= _RANK_PRIME
-            u[j + 1 :] -= lower[j + 1 :, j, None] * u[j]
-        u %= _RANK_PRIME
-        lower = a[r:, panel]
-        live = np.flatnonzero(lower.any(axis=1))
-        if live.size:
-            # these multipliers are relative to the pivots as well
-            hit = r + live
-            scaled = u * inv[:, None] % _RANK_PRIME
-            a[hit, c1:] = (a[hit, c1:] - lower[live] @ scaled) % _RANK_PRIME
-    return pivots
+    if r == r0:
+        return
+    a[r0:r, c0:c1] %= _RANK_PRIME
+    if c1 == cols:
+        return
+    panel = pivots[r0 - r :]
+    inv = np.array(inverses, dtype=np.int64)
+    # U12 = L11^-1 A12, with L11 unit lower: multipliers times inverses
+    u = a[r0:r, c1:]
+    lower = np.tril(a[r0:r, panel], -1) * inv % _RANK_PRIME
+    for j in np.flatnonzero(lower.any(axis=0)).tolist():
+        u[j] %= _RANK_PRIME
+        u[j + 1 :] -= lower[j + 1 :, j, None] * u[j]
+    u %= _RANK_PRIME
+    lower = a[r:, panel]
+    live = np.flatnonzero(lower.any(axis=1))
+    if live.size:
+        # these multipliers are relative to the pivots as well
+        hit = r + live
+        scaled = u * inv[:, None] % _RANK_PRIME
+        a[hit, c1:] = (a[hit, c1:] - lower[live] @ scaled) % _RANK_PRIME
 
 
 def _free_solution(a: np.ndarray, pivots: List[int]) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -50,6 +50,10 @@ __all__ = [
 N_MAX = 24
 
 _INT64_SAFE = 1 << 62
+
+# Up to this many support pairs the convolution is the pure-Python loop: the
+# numpy pair kernel's fixed cost of some 20 us is more than the loop takes.
+_PAIRS_LOOP_MAX = 64
 
 
 class BooleanFunction:
@@ -231,16 +235,25 @@ class HypercontractivityResult:
     holds: bool
 
 
-def _butterfly_level(a: np.ndarray, h: int) -> None:
-    """One in-place Walsh-Hadamard level along axis 0: (u, v) -> (u + v, u - v) at stride h.
+def _butterfly_level(a: np.ndarray, h: int, dtype=None) -> np.ndarray:
+    """One Walsh-Hadamard level along axis 0: (u, v) -> (u + v, u - v) at stride h.
 
-    Each output is a signed sum of two inputs, so the level at most doubles
-    the largest magnitude; callers pick a dtype that holds the doubled value.
+    In place, or into a new array of the wider ``dtype`` when one is given,
+    which widens the values and runs the level in one pass.  Each output is
+    a signed sum of two inputs, so the level at most doubles the largest
+    magnitude; callers pick a dtype that holds the doubled value.
     """
     b = a.reshape(-1, 2, h, *a.shape[1:])
+    if dtype is not None:
+        out = np.empty(a.shape, dtype=dtype)
+        o = out.reshape(b.shape)
+        np.add(b[:, 0], b[:, 1], out=o[:, 0], dtype=dtype)
+        np.subtract(b[:, 0], b[:, 1], out=o[:, 1], dtype=dtype)
+        return out
     top = b[:, 0].copy()
     b[:, 0] += b[:, 1]
     np.subtract(top, b[:, 1], out=b[:, 1])
+    return a
 
 
 def _butterfly_sum(table: np.ndarray) -> np.ndarray:
@@ -281,35 +294,63 @@ _MOBIUS_BYTE = np.packbits(
 # Last stride h of each narrow pass of ``wht``: after the level at stride h
 # every value is a sum of 2h table bits, so |v| <= 2h.  int8 holds 2h <= 2**6
 # (h <= 32) and int16 holds 2h <= 2**14 (h <= 2**13); int32 takes the rest,
-# up to 2**n <= 2**N_MAX = 2**24 < 2**31.
+# up to 2**n <= 2**N_MAX = 2**24 < 2**31.  The levels commute, so the bound
+# holds for any six levels, and any fourteen, in whatever order they run.
 _WHT_PASSES = ((np.int8, 1 << 5), (np.int16, 1 << 13), (np.int32, 1 << N_MAX))
+
+# From this many points up, ``_wht_sums`` runs the int8 levels at strides 8,
+# 16 and 32 on a transposed copy, where their strides are long.  Below it
+# the transposes cost more than they save (about even at n = 8).
+_WHT_TRANSPOSED_MIN = 1 << 9
 
 
 def _wht_sums(table: np.ndarray) -> np.ndarray:
-    """Exact character sums of a 0/1 table of length 2**n, on narrow integers.
+    """Exact character sums of a 0/1 table of length 2**n, as int32.
 
     One gather from ``_WHT_BYTE`` does the first three levels of every byte
     of the packed table; for n < 3 the zero padding of the byte does not
-    reach the first 2**n sums.  The remaining levels run in place, each on
-    the narrowest dtype of ``_WHT_PASSES`` that holds its result.
+    reach the first 2**n sums.  Each remaining level runs on the narrowest
+    dtype of ``_WHT_PASSES`` that holds its result, and the first level of
+    a wider pass widens as it goes.
+
+    A level at stride h loops over runs of h values, so short strides pay
+    a loop step every few bytes.  From ``_WHT_TRANSPOSED_MIN`` points up the
+    bytes are gathered in (bits 3-5 of x, bits 6 and up) order, the
+    transpose of their order in x.  Each gathered word holds the 8 values of
+    one byte (bits 0-2), so bits 3, 4 and 5 have strides size/8, size/4 and
+    size/2.  One transpose of the words puts x back in order, and the
+    transposed copy is freed before the int16 pass.
     """
     size = table.size
-    a = np.take(_WHT_BYTE, np.packbits(table, bitorder="little")).view(np.int8)[:size]
-    h = 8
+    if size < _WHT_TRANSPOSED_MIN:
+        a = _WHT_BYTE[np.packbits(table, bitorder="little")].view(np.int8)[:size]
+        h = 8
+    else:
+        words = _WHT_BYTE[np.packbits(table, bitorder="little").reshape(-1, 8).T.copy()]
+        flat = words.view(np.int8).reshape(-1)
+        for stride in (size >> 3, size >> 2, size >> 1):
+            _butterfly_level(flat, stride)
+        a = words.T.copy().view(np.int8).reshape(-1)
+        del words, flat
+        h = 64
     for dtype, last in _WHT_PASSES:
-        a = a.astype(dtype, copy=False)
         while h < size and h <= last:
-            _butterfly_level(a, h)
+            a = _butterfly_level(a, h, None if a.dtype == dtype else dtype)
             h <<= 1
-    return a
+    return a.astype(np.int32, copy=False)
 
 
-def wht(f: BooleanFunction) -> Spectrum:
+def wht(f: BooleanFunction, check=None) -> Spectrum:
     """Walsh-Hadamard transform: f_hat(s) = 2^-n * sum_x f(x) * (-1)^<s,x>.
 
     Returned numerators are the exact character sums at denom_exp = n.
+    ``check``, if given, is called with the array of those sums (indexed
+    by mask) before the dict is built, so a caller can refuse a spectrum
+    too large to hold without building it.
     """
     sums = _wht_sums(f.table)
+    if check is not None:
+        check(sums)
     nz = np.flatnonzero(sums != 0)
     return Spectrum._from_clean(f.n, f.n, dict(zip(nz.tolist(), sums[nz].tolist())))
 
@@ -411,20 +452,73 @@ def spectral_stats(spectrum: Spectrum) -> SpectralStats:
     )
 
 
+def _as_arrays(coeffs: Mapping[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of a map whose values fit int64, as two int64 arrays."""
+    count = len(coeffs)
+    return (
+        np.fromiter(coeffs.keys(), dtype=np.int64, count=count),
+        np.fromiter(coeffs.values(), dtype=np.int64, count=count),
+    )
+
+
 def _dense(coeffs: Mapping[int, int], n: int, dtype) -> np.ndarray:
     arr = np.zeros(1 << n, dtype=dtype)
     arr[list(coeffs)] = list(coeffs.values())
     return arr
 
 
-def _convolve_pairs(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
-    """XOR convolution by the double loop over support pairs."""
+def _convolve_loop(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+    """XOR convolution by the double loop over support pairs, on Python ints."""
     out: Dict[int, int] = {}
     for s, u in a.items():
         for t, v in b.items():
             key = s ^ t
             out[key] = out.get(key, 0) + u * v
     return {key: out[key] for key in sorted(out) if out[key]}
+
+
+def _pair_sums(
+    a_keys: np.ndarray, b_keys: np.ndarray, a_vals=None, b_vals=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair kernel: (distinct s ^ t ascending, sum of a[s] * b[t] at each), on int64.
+
+    One pass over every support pair: the outer XOR of the keys, the outer
+    product of the values, one sort, then ``np.add.reduceat`` over each run
+    of equal keys.  Exact while l1(a) * l1(b) < 2^62.  Without values every
+    pair counts 1, the sums are pair counts, and the keys are sorted alone.
+    Sums of zero are kept.
+    """
+    keys = np.bitwise_xor.outer(a_keys, b_keys).ravel()
+    if a_vals is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)  # int64 sums are exact in any order
+        keys = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    if a_vals is None:
+        sums = np.diff(starts, append=keys.size)
+    else:
+        sums = np.add.reduceat(np.multiply.outer(a_vals, b_vals).ravel()[order], starts)
+    return keys[starts], sums
+
+
+def _convolve_pairs(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+    """XOR convolution over support pairs: ``_pair_sums`` when it pays and is exact.
+
+    Up to ``_PAIRS_LOOP_MAX`` pairs, and when l1(a) * l1(b) reaches 2^62,
+    it is the double loop on Python ints.
+    """
+    if len(a) * len(b) <= _PAIRS_LOOP_MAX or (
+        sum(map(abs, a.values())) * sum(map(abs, b.values())) >= _INT64_SAFE
+    ):
+        return _convolve_loop(a, b)
+    (a_keys, a_vals), (b_keys, b_vals) = _as_arrays(a), _as_arrays(b)
+    keys, sums = _pair_sums(a_keys, b_keys, a_vals, b_vals)
+    nz = np.flatnonzero(sums)
+    return dict(zip(keys[nz].tolist(), sums[nz].tolist()))
 
 
 def _convolve_butterfly(a: Mapping[int, int], b: Mapping[int, int], n: int) -> Dict[int, int]:
@@ -446,16 +540,21 @@ def _convolve_butterfly(a: Mapping[int, int], b: Mapping[int, int], n: int) -> D
     return dict(zip(nz.tolist(), (conv[nz] >> n).tolist()))
 
 
+def _butterfly_pays(pairs: int, n: int) -> bool:
+    """Whether ``xor_convolve`` takes the butterflies for this many support pairs."""
+    return pairs > (n + 1) << n
+
+
 def xor_convolve(a: Mapping[int, int], b: Mapping[int, int], n: int) -> Dict[int, int]:
     """Exact XOR convolution of two maps on masks below 2^n.
 
     The value at s is the sum over t of a[t] * b[s ^ t]; the result keeps the
     nonzero values in ascending mask order.  When l0(a) * l0(b) exceeds
     (n + 1) * 2^n it is three Walsh-Hadamard butterflies (int64 while that
-    is exact: always for +/-1 spectra with n <= 20); otherwise the double
-    loop over support pairs.
+    is exact: always for +/-1 spectra with n <= 20); otherwise one pass over
+    the support pairs (``_convolve_pairs``).
     """
-    if len(a) * len(b) > (n + 1) << n:
+    if _butterfly_pays(len(a) * len(b), n):
         return _convolve_butterfly(a, b, n)
     return _convolve_pairs(a, b)
 
@@ -465,7 +564,7 @@ def pointwise_product(a: Spectrum, b: Spectrum) -> Spectrum:
 
     denom_exp adds; the numerator at s is sum over t of num_a(t)*num_b(s^t),
     computed by ``xor_convolve``: three butterflies when l0(a) * l0(b) >
-    (n + 1) * 2^n, else the pair loop.  For +/-1 spectra the butterflies are
+    (n + 1) * 2^n, else the pairs.  For +/-1 spectra the butterflies are
     exact on int64 up to n = 20 (their values reach 2^(3n)) and use Python
     ints above that.
     """

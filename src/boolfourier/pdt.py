@@ -43,6 +43,7 @@ import numpy as np
 from ._bits import (
     dot,
     lex_key,
+    lex_keys,
     mask_to_string,
     popcounts,
     span_points,
@@ -52,7 +53,10 @@ from .core import (
     N_MAX,
     BooleanFunction,
     Spectrum,
+    _as_arrays,
+    _butterfly_pays,
     _mobius_levels,
+    _pair_sums,
     _xor_butterfly,
     anf_of,
     deg2,
@@ -400,8 +404,8 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     )
 
 
-def _pm_of(g: BooleanFunction) -> Spectrum:
-    return to_pm_spectrum(wht(g))
+def _pm_of(g: BooleanFunction, check=None) -> Spectrum:
+    return to_pm_spectrum(wht(g, check))
 
 
 def _leaf_bit(spectrum: Spectrum) -> int:
@@ -415,16 +419,35 @@ def _leaf_bit(spectrum: Spectrum) -> int:
     raise BoolFourierError("internal: spectrum is not a +/-1 constant")
 
 
+def _top_pair(spectrum: Spectrum) -> Tuple[int, int]:
+    """The masks a1, a2 of the two largest-magnitude coefficients, ties in x1-first order.
+
+    They are the two least coefficients in (-|c|, lex_key(mask)) order, as
+    ``heapq.nsmallest`` over every coefficient picks them.  The magnitudes
+    are ranked first, and only the masks tied at the magnitude that decides
+    get a ``lex_key``.  ``spectrum`` has at least two coefficients.
+    """
+    n, coeffs = spectrum.n, spectrum.coeffs
+    mags = list(map(abs, coeffs.values()))
+    top = max(mags)
+    tied = [m for m, g in zip(coeffs, mags) if g == top]
+    if len(tied) > 1:
+        a1, a2 = heapq.nsmallest(2, tied, key=lambda m: lex_key(m, n))
+        return a1, a2
+    second = max(g for g in mags if g != top)
+    rest = [m for m, g in zip(coeffs, mags) if g == second]
+    return tied[0], min(rest, key=lambda m: lex_key(m, n)) if len(rest) > 1 else rest[0]
+
+
 def _greedy_step(spectrum: Spectrum) -> Tuple[int, int, dict]:
     """Greedy pick (t, b, info): t = a1 ^ a2 for the two largest-magnitude coefficients.
 
-    Ties go by x1-first mask order.  On fold bit b the merged coefficient is
-    |a1| + |a2|.  The greedy builder annotates no node, so info is empty.
+    Ties go by x1-first mask order (``_top_pair``).  On fold bit b the
+    merged coefficient is |a1| + |a2|.  The greedy builder annotates no
+    node, so info is empty.
     """
-    n = spectrum.n
-    (a1, c1), (a2, c2) = heapq.nsmallest(
-        2, spectrum.coeffs.items(), key=lambda kv: (-abs(kv[1]), lex_key(kv[0], n))
-    )
+    a1, a2 = _top_pair(spectrum)
+    c1, c2 = spectrum.coeffs[a1], spectrum.coeffs[a2]
     return a1 ^ a2, 0 if c1 * c2 > 0 else 1, {}
 
 
@@ -453,7 +476,7 @@ def _child(spec: Spectrum, frame: _Frame, q: int, t: int, beta: int) -> Tuple[Sp
 # Builders.
 
 
-def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
+def _grow(f: BooleanFunction, choose, state, check=None) -> Tuple[Pdt, BuildTrace]:
     """The one tree recursion: query, take both children, recurse.
 
     The +/-1 spectrum of f over the root denominator and the frame are
@@ -461,7 +484,8 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
     returns ``(q, t, info, child_state)``: the original mask to query, its
     direction in the frame's coordinates, the trace annotations and the
     state both children get.  ``q`` is None for a leaf, whose value is the
-    constant ``spec``.  ``state`` is the root's state.
+    constant ``spec``.  ``state`` is the root's state, and ``check`` is
+    passed to the root's ``wht``.
     """
     trace = BuildTrace(f.n)
     # Equal subtrees share one node (and the trace equal annotations one
@@ -489,7 +513,7 @@ def _grow(f: BooleanFunction, choose, state) -> Tuple[Pdt, BuildTrace]:
         # the children are shared already, so equal subtrees get equal keys
         return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
 
-    root = rec(_pm_of(f), _Frame.identity(f.n), state, None, None)
+    root = rec(_pm_of(f, check), _Frame.identity(f.n), state, None, None)
     # rec refers to itself through its closure cell; breaking that cycle
     # frees the trace with its last reference, not at the next collection.
     del rec
@@ -518,18 +542,23 @@ def _heavy_direction(spec: Spectrum) -> Tuple[int, int]:
     """Direction maximizing the number of support pairs {s, s'} with s^s' = t.
 
     The pair count is half the autocorrelation of the support indicator at
-    t != 0, taken by ``xor_convolve``: three butterflies when l0^2 >
-    (n + 1) * 2^n, else the pair loop.  The butterflies' bound 2^n * l0^2 <=
-    2^(3n) keeps them on int64 up to n = 20.  Ties go to the x1-first
-    smallest mask.
+    t != 0.  When ``xor_convolve`` would take three butterflies (l0^2 >
+    (n + 1) * 2^n) it does; their bound 2^n * l0^2 <= 2^(3n) keeps them
+    on int64 up to n = 20.  Otherwise the pair kernel counts every ordered
+    pair.  Ties go to the x1-first smallest mask, the least bit-reversed key.
     """
-    n = spec.n
-    indicator = dict.fromkeys(spec.coeffs, 1)
-    auto = xor_convolve(indicator, indicator, n)
-    del auto[0]
-    best = max(auto.values())
-    t = min((u for u, c in auto.items() if c == best), key=lambda m: lex_key(m, n))
-    return t, best // 2
+    n, l0 = spec.n, spec.l0()
+    if _butterfly_pays(l0 * l0, n):
+        indicator = dict.fromkeys(spec.coeffs, 1)
+        keys, counts = _as_arrays(xor_convolve(indicator, indicator, n))
+    else:
+        masks = np.fromiter(spec.coeffs, dtype=np.int64, count=l0)
+        keys, counts = _pair_sums(masks, masks)
+    # both list t ascending, and t = 0 (l0 ordered pairs) comes first
+    keys, counts = keys[1:], counts[1:]
+    best = int(counts.max())
+    tied = keys[counts == best]
+    return int(tied[np.argmin(lex_keys(tied, n))]), best // 2
 
 
 def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
@@ -545,6 +574,12 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     return _grow(f, _fold_chooser(pick), None)
 
 
+# A span of more than 20 dimensions would need more than 2**20 leaves.  A
+# support of 2**20 or more nonzero masks spans more than 20 dimensions.
+_SPAN_LEAVES = 1 << 20
+_SPAN_TOO_LARGE = "span dimension more than 20 would need more than 2^20 leaves"
+
+
 def _choose_span(spec: Spectrum, frame: _Frame, state):
     """Chooser querying a basis of the support's span in order, then a leaf.
 
@@ -552,8 +587,8 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
     span-query subtree here.  Its masks are the greedy independent subset of
     the support of ``spec`` scanned in x1-first order (mask 0 is never
     taken), mapped to original masks; more than 20 would need more than
-    2**20 leaves and raise TooLarge.  A support of 2**20 or more nonzero
-    masks spans more than 20 dimensions, so it is refused before the scan.
+    2**20 leaves and raise TooLarge.  A support of ``_SPAN_LEAVES`` or more
+    nonzero masks is refused before the scan.
     Each mask is pulled back through the frame of its level, and ``spec``
     is constant after the last one.  Every node, leaves included, shares
     the one ``info`` dict: a dict per node costs memory on large trees.
@@ -561,8 +596,8 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
     pending, info = state
     if pending is None:
         n = spec.n
-        if spec.l0() - (0 in spec.coeffs) >= 1 << 20:
-            raise TooLarge("span dimension more than 20 would need more than 2^20 leaves")
+        if spec.l0() - (0 in spec.coeffs) >= _SPAN_LEAVES:
+            raise TooLarge(_SPAN_TOO_LARGE)
         basis = _greedy_basis(sorted(spec.coeffs, key=lambda m: lex_key(m, n)))
         if (d := len(basis)) > 20:
             raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
@@ -576,9 +611,19 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
     return q, t, info, (pending[1:], info)
 
 
+def _refuse_wide_span(sums: np.ndarray) -> None:
+    """``_choose_span``'s support gate on the root's character sums, before any dict.
+
+    The +/-1 coefficient at s != 0 is -2 times the sum at s, so the count
+    is the same.
+    """
+    if np.count_nonzero(sums[1:]) >= _SPAN_LEAVES:
+        raise TooLarge(_SPAN_TOO_LARGE)
+
+
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """Query a basis of the span of the support; depth is the span's dimension."""
-    return _grow(f, _choose_span, (None, {}))
+    return _grow(f, _choose_span, (None, {}), _refuse_wide_span)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +634,11 @@ def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 # ``submasks[starts[free]:starts[free + 1]]``.  Built on first use and grown
 # to the largest n searched, 3**n int16 entries (1 MiB at n = 12).
 _SUBMASKS = (np.array([0, 1], dtype=np.intp), np.zeros(1, dtype=np.int16))
+
+
+# The root's extension by ``_Bases`` on n coordinates, the same for every
+# codimension and every search: built on first use, once per n.
+_ROOTS: dict = {}
 
 
 def _submask_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -630,14 +680,24 @@ class _Bases:
         self.k = k
         self.starts, self.subs = _submask_table(n)
         # batches still to walk, the next one last; complete bases are a
-        # batch of their rows alone.  The root: no rows, every coordinate
-        # free, and 0 is no row.
-        self.pending = [(
-            np.zeros((1, 0), dtype=np.int16),
-            np.array([(1 << n) - 1], dtype=np.intp),
-            np.zeros(1, dtype=np.intp),
-            np.ones(1, dtype=np.intp),
-        )]
+        # batch of their rows alone.  Every walk starts from the root's
+        # extension, its codim-1 prefixes; they are complete bases for
+        # k = 1, and n = 0 has none.
+        first = _ROOTS.get(n)
+        if first is None:
+            first = _ROOTS[n] = self._root(n)
+        self.pending = [first[:1] if k == 1 else first] if len(first[0]) else []
+
+    def _root(self, n: int) -> tuple:
+        """The root prefix extended by every row: no rows, every coordinate free, 0 no row."""
+        free, below = np.array([(1 << n) - 1], dtype=np.intp), np.ones(1, dtype=np.intp)
+        root = (np.zeros((1, 0), dtype=np.int16), free, np.zeros(1, dtype=np.intp), below)
+        lo = self.starts[free] + below
+        runs = self.starts[free + 1] - lo
+        first = self._extend(root, lo, runs, np.cumsum(runs), None)
+        for a in first:
+            a.flags.writeable = False
+        return first
 
     def take(self, count: int) -> np.ndarray:
         """The rows of the next ``count`` bases, or of all that are left: int16 (m, k)."""
@@ -661,16 +721,20 @@ class _Bases:
                 out.append(rows[:cut])
                 got += len(out[-1])
                 continue
-            extended = self._extend(batch, lo[:cut], runs[:cut], ends[:cut])
+            extended = self._extend(batch, lo[:cut], runs[:cut], ends[:cut], self.k)
             if len(extended[0]):
                 self.pending.append(extended)
         return np.concatenate(out) if out else np.zeros((0, self.k), dtype=np.int16)
 
-    def _extend(self, batch, lo: np.ndarray, runs: np.ndarray, ends: np.ndarray) -> tuple:
+    def _extend(
+        self, batch, lo: np.ndarray, runs: np.ndarray, ends: np.ndarray, k: Optional[int]
+    ) -> tuple:
         """The leading ``len(lo)`` prefixes of ``batch``, each extended by its valid next rows.
 
         Prefix i's run of the submask table is ``runs[i]`` long from
-        ``lo[i]``, and the runs end at ``ends`` once concatenated.
+        ``lo[i]``, and the runs end at ``ends`` once concatenated.  Rows
+        that reach ``k`` come back as complete bases alone; with k None
+        the prefixes always come back whole.
         """
         rows, free, union, _ = batch
         parent = np.repeat(np.arange(len(runs)), runs)
@@ -680,7 +744,7 @@ class _Bases:
         keep = np.flatnonzero((p & union[parent]) == 0)
         parent, t = parent[keep], t[keep]
         extended = np.concatenate([rows[parent], t[:, None]], axis=1)
-        if extended.shape[1] == self.k:
+        if extended.shape[1] == k:
             return (extended,)
         at, p, f = at[keep], p[keep], free[parent]
         # The submasks of f - p up to t are those of f up to t without bit
@@ -874,7 +938,10 @@ def build_degree_reduce(
         t = subspace[0]
         return frame.query_mask(t), t, info, (rest, {"round": round_no})
 
-    return _grow(f, choose, ((), {"round": 0}))
+    # Above _SEARCH_N_LIMIT a non-constant root is a span-query fallback, and
+    # below it the support has fewer than _SPAN_LEAVES masks, so the span
+    # gate may refuse from the root's transform here too.
+    return _grow(f, choose, ((), {"round": 0}), _refuse_wide_span)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ degree-drop search behind the batched one.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -104,6 +105,19 @@ def heavy_direction_oracle(support: Iterable[int], n: int) -> Tuple[int, int]:
     best = max(counts.values())
     t = min((t for t, c in counts.items() if c == best), key=lambda t: x1_first_string(t, n))
     return t, best
+
+
+def greedy_pair_reference(spectrum) -> Tuple[int, int]:
+    """The greedy step's (a1, a2) by its defining rule, over every coefficient.
+
+    ``heapq.nsmallest`` of two, keyed by (-|c|, the mask's x1-first
+    bitstring): the largest magnitudes, ties in x1-first order.
+    """
+    n = spectrum.n
+    (a1, _), (a2, _) = heapq.nsmallest(
+        2, spectrum.coeffs.items(), key=lambda kv: (-abs(kv[1]), x1_first_string(kv[0], n))
+    )
+    return a1, a2
 
 
 def _independent(masks: Sequence[int]) -> bool:

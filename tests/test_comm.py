@@ -224,6 +224,25 @@ def test_matrix_rank_of_residues_q_minus_1(bareiss_calls):
     assert bareiss_calls == []
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_panel_step_leaves_residues_right_of_the_panel(seed):
+    # The first panel's step alone, on residues 0 and q - 1 over two panels
+    # and more rows than the panel has columns.  Every entry right of the
+    # panel, in its pivot rows and the rows below them, is a residue again:
+    # the one % of the triangular pass and the one of the trailing block.
+    # Later panels reduce what they touch, so after the whole elimination
+    # an unreduced trailing block would not show.
+    q, b = comm._RANK_PRIME, comm._PANEL
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((b + 9, b + 7)) < 0.5, q - 1, 0).astype(np.int64)
+    pivots = []
+    comm._eliminate_panel(a, 0, pivots)
+    assert 0 < len(pivots) < len(a) and all(c < b for c in pivots)
+    right = a[:, b:]
+    assert right.any()
+    assert ((right >= 0) & (right < q)).all()
+
+
 @pytest.mark.parametrize("d", [4, 7])
 def test_matrix_rank_n9_below_full_rank(bareiss_calls, d):
     # rank below 512: the lifted combinations certify the rank on their own

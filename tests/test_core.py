@@ -1,6 +1,8 @@
 """Spectrum, ANF and stats against independent oracles and frozen values."""
 
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,14 +28,19 @@ from boolfourier import (
     wht,
     xor_convolve,
 )
+from boolfourier import core
+from boolfourier._bits import lex_key, lex_keys
 from boolfourier.core import (
     _butterfly_sum,
     _convolve_butterfly,
+    _convolve_loop,
     _convolve_pairs,
+    _pair_sums,
+    _wht_sums,
     _xor_butterfly,
 )
 
-from helpers import anf_oracle, deg_oracle, pm_spectrum_oracle, wht_oracle
+from helpers import anf_oracle, deg_oracle, pm_spectrum_oracle, wht_oracle, x1_first_string
 
 AND2 = BooleanFunction(2, [0, 0, 0, 1])
 IP4 = BooleanFunction(4, [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0])
@@ -235,6 +242,41 @@ def test_packed_kernels_dtype_boundaries(n):
     assert (deg2(one), deg2(par)) == (0, 1)
 
 
+_TRANSPOSED_N = core._WHT_TRANSPOSED_MIN.bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [_TRANSPOSED_N - 1, _TRANSPOSED_N])
+def test_wht_transposed_path_boundary(n):
+    # the last n on the plain levels and the first with bits 3-5 transposed
+    for seed in (1, 2):
+        table = np.random.default_rng(900 + 10 * n + seed).integers(0, 2, 1 << n, dtype=np.uint8)
+        assert wht(BooleanFunction(n, table)).coeffs == wht_oracle(table.tolist())
+    size = 1 << n
+    one = BooleanFunction(n, np.ones(size, dtype=np.uint8))
+    assert wht(one).coeffs == {0: size}
+
+
+@pytest.mark.parametrize("n", [3, 9, 16])
+def test_wht_sums_are_int32(n):
+    table = np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8)
+    assert _wht_sums(table).dtype == np.int32
+
+
+def test_wht_sums_peak_memory_n20():
+    # the transposed copy is freed before the int16 pass, so the peak stays
+    # at the int16 -> int32 widening: 2 + 4 bytes a point, 6 MiB at n = 20,
+    # plus the ufunc's casting buffers of that level (some 64 KiB)
+    n = 20
+    table = np.random.default_rng(20).integers(0, 2, 1 << n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        _wht_sums(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (6 << n) + (96 << 10)
+
+
 def test_inverse_wht_rejects_first_bad_point():
     with pytest.raises(NotBoolean, match=r"value 3/8 at x=0 is not 0 or 1"):
         inverse_wht(Spectrum(3, 3, {0: 3}))
@@ -316,6 +358,62 @@ def test_xor_convolve_large_numerators_exact(scale):
     assert _convolve_butterfly(a, b, 6) == _convolve_pairs(a, b)
     assert _convolve_butterfly(a, a, 6) == _convolve_pairs(a, a)
     assert xor_convolve(a, b, 6) == _convolve_pairs(a, b)
+
+
+def _map_with_l1(rng: random.Random, n: int, count: int, l1: int) -> dict:
+    """``count`` signed values on distinct masks below 2^n, their magnitudes summing to l1."""
+    masks = rng.sample(range(1 << n), count)
+    cuts = sorted(rng.sample(range(1, l1), count - 1))
+    mags = [b - a for a, b in zip([0] + cuts, cuts + [l1])]
+    return {m: rng.choice((-1, 1)) * v for m, v in zip(masks, mags)}
+
+
+@pytest.mark.parametrize("count", [9, 40])
+def test_pair_kernel_matches_loop_below_int64_bound(count):
+    # l1(a) * l1(b) = 2^62 - 1: the last product the int64 kernel takes
+    rng = random.Random(count)
+    a = _map_with_l1(rng, 12, count, (1 << 31) - 1)
+    b = _map_with_l1(rng, 12, count, (1 << 31) + 1)
+    assert len(a) * len(b) > core._PAIRS_LOOP_MAX
+    want = _convolve_loop(a, b)
+    keys, sums = _pair_sums(
+        np.array(list(a), dtype=np.int64), np.array(list(b), dtype=np.int64),
+        np.array(list(a.values()), dtype=np.int64), np.array(list(b.values()), dtype=np.int64),
+    )
+    assert keys.tolist() == sorted({s ^ t for s in a for t in b})
+    assert {k: v for k, v in zip(keys.tolist(), sums.tolist()) if v} == want
+    assert _convolve_pairs(a, b) == want
+    assert list(_convolve_pairs(a, b)) == list(want)
+
+
+@pytest.mark.parametrize("l1", [1 << 31, 1 << 45])
+def test_pair_kernel_matches_loop_above_int64_bound(l1):
+    # l1(a) * l1(b) >= 2^62: Python ints; at 2^90 the int64 products would wrap
+    rng = random.Random(l1.bit_length())
+    a = _map_with_l1(rng, 12, 20, l1)
+    b = _map_with_l1(rng, 12, 20, l1)
+    assert _convolve_pairs(a, b) == _convolve_loop(a, b)
+    assert _convolve_pairs(a, a) == _convolve_loop(a, a)
+
+
+@pytest.mark.parametrize("l0", [1, 2, 9, 64, 256])
+def test_pair_counts_are_the_ordered_pairs(l0):
+    rng = random.Random(l0)
+    masks = rng.sample(range(1 << 20), l0)
+    keys, counts = _pair_sums(np.array(masks, dtype=np.int64), np.array(masks, dtype=np.int64))
+    want = Counter(s ^ t for s in masks for t in masks)
+    assert keys.tolist() == sorted(want)
+    assert counts.tolist() == [want[k] for k in sorted(want)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 20, 24])
+def test_lex_keys_match_lex_key(n):
+    rng = random.Random(n)
+    masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]
+    keys = lex_keys(np.array(masks, dtype=np.int64), n).tolist()
+    assert keys == [lex_key(m, n) for m in masks]
+    order = sorted(range(len(masks)), key=lambda i: x1_first_string(masks[i], n))
+    assert [keys[i] for i in order] == sorted(keys)
 
 
 def test_boolean_autocorrelation_both_paths():

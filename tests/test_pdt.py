@@ -54,7 +54,9 @@ from boolfourier import (
 from boolfourier import pdt as pdt_module
 from boolfourier.cli import parse_function_spec
 from boolfourier._bits import dot, mask_to_string, popcounts
-from boolfourier.pdt import _heavy_direction
+from boolfourier.core import _wht_sums
+from boolfourier.pdt import _heavy_direction, _top_pair
+from boolfourier.restrict import fold
 
 from helpers import (
     _independent,
@@ -62,6 +64,7 @@ from helpers import (
     cert_corpus,
     deg_oracle,
     first_drop_reference,
+    greedy_pair_reference,
     heavy_direction_oracle,
     parity,
     plain_certs,
@@ -141,6 +144,59 @@ def test_heavy_direction_matches_oracle(n_support, scale):
     n, support = n_support
     spec = Spectrum(n, n, {m: scale if m & 1 else -scale for m in support})
     assert _heavy_direction(spec) == heavy_direction_oracle(support, n)
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+@pytest.mark.parametrize("l0", [2, 9, 40, 256])
+def test_heavy_direction_matches_per_pair_reference_sparse(n, l0):
+    # l0^2 <= (n + 1) * 2^n: the pair kernel's side, at the spectral-sparse
+    # sizes; a lifted support makes many directions tie
+    rng = np.random.default_rng(10 * n + l0)
+    for support in (
+        rng.choice(1 << n, size=l0, replace=False).tolist(),
+        (rng.choice(1 << 9, size=l0, replace=False) << (n - 9)).tolist(),
+    ):
+        spec = Spectrum(n, n, {m: 1 if m & 1 else -1 for m in support})
+        assert _heavy_direction(spec) == heavy_direction_oracle(support, n)
+
+
+def _greedy_spectra(f, limit=60):
+    """Spectra the greedy walk meets: the root's, then both branches of each fold."""
+    stack, out = [to_pm_spectrum(wht(f))], []
+    while stack and len(out) < limit:
+        spec = stack.pop()
+        if spec.l0() < 2:
+            continue
+        out.append(spec)
+        a1, a2 = _top_pair(spec)
+        stack += [fold(spec, a1 ^ a2, b) for b in (0, 1)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("bent_ip", {"k": 4}), ("bent_ip", {"k": 8}), ("majority", {"n": 5}),
+     ("majority", {"n": 9}), ("and", {"n": 6}), ("parity", {"n": 5}),
+     ("random_poly", {"n": 8, "d": 3, "seed": 1}), ("random_poly", {"n": 10, "d": 2, "seed": 2})],
+)
+def test_top_pair_is_the_nsmallest_rule(kind, params):
+    # tie-heavy spectra: every bent coefficient has one magnitude, majority's
+    # come in levels by weight
+    for spec in _greedy_spectra(generate(FamilySpec(kind, params))):
+        a1, a2 = greedy_pair_reference(spec)
+        assert _top_pair(spec) == (a1, a2)
+        b = 0 if spec.coeffs[a1] * spec.coeffs[a2] > 0 else 1
+        assert pdt_module._greedy_step(spec) == (a1 ^ a2, b, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.integers(0, (1 << n) - 1), st.integers(-3, 3).filter(bool), min_size=2, max_size=40))))
+def test_top_pair_is_the_nsmallest_rule_on_small_values(n_coeffs):
+    n, coeffs = n_coeffs
+    spec = Spectrum(n, n, coeffs)
+    assert _top_pair(spec) == greedy_pair_reference(spec)
 
 
 def test_span_query_tree_and2_frozen():
@@ -714,7 +770,7 @@ def test_one_transform_per_call(monkeypatch):
     assert deg2(f) == 3
     calls = []
     real_wht = pdt_module.wht
-    monkeypatch.setattr(pdt_module, "wht", lambda g: calls.append(g.n) or real_wht(g))
+    monkeypatch.setattr(pdt_module, "wht", lambda g, *check: calls.append(g.n) or real_wht(g, *check))
     for build in (build_greedy_l1, build_heavy_hitter, build_span_query, cert_greedy_l1):
         calls.clear()
         build(f)
@@ -944,6 +1000,49 @@ def test_span_gate_refuses_a_large_support_before_the_scan(monkeypatch):
         build_span_query(f)
     assert time.perf_counter() - start < 10
     assert str(exc.value) == "span dimension more than 20 would need more than 2^20 leaves"
+
+
+@pytest.mark.parametrize("build", [build_span_query, build_degree_reduce])
+def test_span_gate_refuses_from_the_transform(monkeypatch, build):
+    # the same input: the root's character sums are counted before wht
+    # builds a dict, so no spectrum of 2^20 entries is made; degree-reduce's
+    # root is a span-query fallback at this n
+    def dict_built(*args):
+        raise AssertionError("a spectrum dict was built")
+
+    monkeypatch.setattr(Spectrum, "_from_clean", classmethod(dict_built))
+    g = generate(FamilySpec("bent_ip", {"k": 20}))
+    f = BooleanFunction(21, np.concatenate([g.table, 1 - g.table]))
+    with pytest.raises(TooLarge) as exc:
+        build(f)
+    assert str(exc.value) == "span dimension more than 20 would need more than 2^20 leaves"
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3, 4, 8])
+def test_span_gate_counts_the_pm_support_off_zero(monkeypatch, leaves):
+    # the sums gate refuses exactly the inputs the spectrum gate would
+    monkeypatch.setattr(pdt_module, "_SPAN_LEAVES", leaves)
+    for f in (AND2, IP4, BooleanFunction(3, [0] * 8), BooleanFunction(3, [1] * 8),
+              generate(FamilySpec("majority", {"n": 3}))):
+        pm = to_pm_spectrum(wht(f))
+        refused = pm.l0() - (0 in pm.coeffs) >= leaves
+        for gate in (lambda: pdt_module._refuse_wide_span(_wht_sums(f.table)),
+                     lambda: build_span_query(f)):
+            try:
+                gate()
+            except TooLarge:
+                assert refused
+            else:
+                assert not refused
+
+
+def test_bases_root_is_built_once_per_n():
+    pdt_module._ROOTS.pop(6, None)
+    first = pdt_module._Bases(6, 2).pending[0]
+    assert pdt_module._Bases(6, 3).pending[0] is first
+    assert pdt_module._Bases(6, 1).pending[0][0] is first[0]
+    assert all(not a.flags.writeable for a in first)
+    assert len(first[0]) == (1 << 6) - 1
 
 
 def test_degree_reduce_beyond_search_limit():
