@@ -53,16 +53,15 @@ from .core import (
     N_MAX,
     BooleanFunction,
     Spectrum,
-    _as_arrays,
-    _butterfly_pays,
     _mobius_levels,
-    _pair_sums,
+    _pair_counts,
+    _spectrum_of_sums,
+    _wht_sums,
     _xor_butterfly,
     anf_of,
     deg2,
     to_pm_spectrum,
     wht,
-    xor_convolve,
 )
 from .errors import (
     BoolFourierError,
@@ -404,8 +403,8 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     )
 
 
-def _pm_of(g: BooleanFunction, check=None) -> Spectrum:
-    return to_pm_spectrum(wht(g, check))
+def _pm_of(g: BooleanFunction) -> Spectrum:
+    return to_pm_spectrum(wht(g))
 
 
 def _leaf_bit(spectrum: Spectrum) -> int:
@@ -425,7 +424,8 @@ def _top_pair(spectrum: Spectrum) -> Tuple[int, int]:
     They are the two least coefficients in (-|c|, lex_key(mask)) order, as
     ``heapq.nsmallest`` over every coefficient picks them.  The magnitudes
     are ranked first, and only the masks tied at the magnitude that decides
-    get a ``lex_key``.  ``spectrum`` has at least two coefficients.
+    get a ``lex_key``: on dense spectra a key for every mask costs the
+    greedy step most of its time.  ``spectrum`` has at least two coefficients.
     """
     n, coeffs = spectrum.n, spectrum.coeffs
     mags = list(map(abs, coeffs.values()))
@@ -436,7 +436,7 @@ def _top_pair(spectrum: Spectrum) -> Tuple[int, int]:
         return a1, a2
     second = max(g for g in mags if g != top)
     rest = [m for m, g in zip(coeffs, mags) if g == second]
-    return tied[0], min(rest, key=lambda m: lex_key(m, n)) if len(rest) > 1 else rest[0]
+    return tied[0], min(rest, key=lambda m: lex_key(m, n))
 
 
 def _greedy_step(spectrum: Spectrum) -> Tuple[int, int, dict]:
@@ -476,18 +476,19 @@ def _child(spec: Spectrum, frame: _Frame, q: int, t: int, beta: int) -> Tuple[Sp
 # Builders.
 
 
-def _grow(f: BooleanFunction, choose, state, check=None) -> Tuple[Pdt, BuildTrace]:
+def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
     """The one tree recursion: query, take both children, recurse.
 
-    The +/-1 spectrum of f over the root denominator and the frame are
-    folded along every query.  At each node ``choose(spec, frame, state)``
-    returns ``(q, t, info, child_state)``: the original mask to query, its
-    direction in the frame's coordinates, the trace annotations and the
-    state both children get.  ``q`` is None for a leaf, whose value is the
-    constant ``spec``.  ``state`` is the root's state, and ``check`` is
-    passed to the root's ``wht``.
+    ``pm``, the +/-1 spectrum of f over the root denominator, and the
+    frame are folded along every query.  At each node
+    ``choose(spec, frame, state)`` returns ``(q, t, info, child_state)``:
+    the original mask to query, its direction in the frame's coordinates,
+    the trace annotations and the state both children get.  ``q`` is None
+    for a leaf, whose value is the constant ``spec``.  ``state`` is the
+    root's state.
     """
-    trace = BuildTrace(f.n)
+    n = pm.n
+    trace = BuildTrace(n)
     # Equal subtrees share one node (and the trace equal annotations one
     # dict), so what a build leaves behind grows with its distinct parts.
     subtrees: dict = {}
@@ -513,11 +514,11 @@ def _grow(f: BooleanFunction, choose, state, check=None) -> Tuple[Pdt, BuildTrac
         # the children are shared already, so equal subtrees get equal keys
         return subtrees.setdefault((q, id(child0), id(child1)), PdtNode(q, child0, child1))
 
-    root = rec(_pm_of(f, check), _Frame.identity(f.n), state, None, None)
+    root = rec(pm, _Frame.identity(n), state, None, None)
     # rec refers to itself through its closure cell; breaking that cycle
     # frees the trace with its last reference, not at the next collection.
     del rec
-    return Pdt(f.n, root), trace
+    return Pdt(n, root), trace
 
 
 def _fold_chooser(pick):
@@ -535,27 +536,19 @@ def build_greedy_l1(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 
     Ties are broken by x1-first mask order; both branches are expanded.
     """
-    return _grow(f, _fold_chooser(_greedy_step), None)
+    return _grow(_pm_of(f), _fold_chooser(_greedy_step), None)
 
 
 def _heavy_direction(spec: Spectrum) -> Tuple[int, int]:
     """Direction maximizing the number of support pairs {s, s'} with s^s' = t.
 
     The pair count is half the autocorrelation of the support indicator at
-    t != 0.  When ``xor_convolve`` would take three butterflies (l0^2 >
-    (n + 1) * 2^n) it does; their bound 2^n * l0^2 <= 2^(3n) keeps them
-    on int64 up to n = 20.  Otherwise the pair kernel counts every ordered
-    pair.  Ties go to the x1-first smallest mask, the least bit-reversed key.
+    t != 0 (``_pair_counts``).  Ties go to the x1-first smallest mask, the
+    least bit-reversed key.
     """
-    n, l0 = spec.n, spec.l0()
-    if _butterfly_pays(l0 * l0, n):
-        indicator = dict.fromkeys(spec.coeffs, 1)
-        keys, counts = _as_arrays(xor_convolve(indicator, indicator, n))
-    else:
-        masks = np.fromiter(spec.coeffs, dtype=np.int64, count=l0)
-        keys, counts = _pair_sums(masks, masks)
-    # both list t ascending, and t = 0 (l0 ordered pairs) comes first
-    keys, counts = keys[1:], counts[1:]
+    n = spec.n
+    keys, counts = _pair_counts(spec.coeffs, spec.l0(), n)
+    keys, counts = keys[1:], counts[1:]  # t = 0 comes first
     best = int(counts.max())
     tied = keys[counts == best]
     return int(tied[np.argmin(lex_keys(tied, n))]), best // 2
@@ -571,7 +564,7 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
         t, pairs = _heavy_direction(spec)
         return t, 0, {"pairs": pairs}
 
-    return _grow(f, _fold_chooser(pick), None)
+    return _grow(_pm_of(f), _fold_chooser(pick), None)
 
 
 # A span of more than 20 dimensions would need more than 2**20 leaves.  A
@@ -611,19 +604,21 @@ def _choose_span(spec: Spectrum, frame: _Frame, state):
     return q, t, info, (pending[1:], info)
 
 
-def _refuse_wide_span(sums: np.ndarray) -> None:
-    """``_choose_span``'s support gate on the root's character sums, before any dict.
+def _span_root_pm(f: BooleanFunction) -> Spectrum:
+    """``_pm_of(f)``, refused by ``_choose_span``'s support gate before any dict.
 
-    The +/-1 coefficient at s != 0 is -2 times the sum at s, so the count
-    is the same.
+    The gate counts the nonzero character sums at s != 0: the +/-1
+    coefficient there is -2 times the sum, so the count is the same.
     """
+    sums = _wht_sums(f.table)
     if np.count_nonzero(sums[1:]) >= _SPAN_LEAVES:
         raise TooLarge(_SPAN_TOO_LARGE)
+    return to_pm_spectrum(_spectrum_of_sums(f.n, sums))
 
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """Query a basis of the span of the support; depth is the span's dimension."""
-    return _grow(f, _choose_span, (None, {}), _refuse_wide_span)
+    return _grow(_span_root_pm(f), _choose_span, (None, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +936,7 @@ def build_degree_reduce(
     # Above _SEARCH_N_LIMIT a non-constant root is a span-query fallback, and
     # below it the support has fewer than _SPAN_LEAVES masks, so the span
     # gate may refuse from the root's transform here too.
-    return _grow(f, choose, ((), {"round": 0}), _refuse_wide_span)
+    return _grow(_span_root_pm(f), choose, ((), {"round": 0}))
 
 
 # ---------------------------------------------------------------------------

@@ -380,8 +380,8 @@ def test_pair_kernel_matches_loop_below_int64_bound(count):
         np.array(list(a), dtype=np.int64), np.array(list(b), dtype=np.int64),
         np.array(list(a.values()), dtype=np.int64), np.array(list(b.values()), dtype=np.int64),
     )
-    assert keys.tolist() == sorted({s ^ t for s in a for t in b})
-    assert {k: v for k, v in zip(keys.tolist(), sums.tolist()) if v} == want
+    assert dict(zip(keys.tolist(), sums.tolist())) == want
+    assert keys.tolist() == sorted(want)
     assert _convolve_pairs(a, b) == want
     assert list(_convolve_pairs(a, b)) == list(want)
 
@@ -404,6 +404,45 @@ def test_pair_counts_are_the_ordered_pairs(l0):
     want = Counter(s ^ t for s in masks for t in masks)
     assert keys.tolist() == sorted(want)
     assert counts.tolist() == [want[k] for k in sorted(want)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_pair_kernel_blocks_match_one_pass(monkeypatch, block):
+    # blocks of whole rows of a, at most ``block`` pairs each (one row when a
+    # row alone is longer), added on a dense array; zero sums are left out
+    rng = random.Random(block)
+    a = random_signed_map(rng, 9, 0.1, 3)
+    b = random_signed_map(rng, 9, 0.05, 3)
+    masks = np.array(rng.sample(range(1 << 12), 40), dtype=np.int64)
+    whole = (_convolve_loop(a, b), _convolve_loop(a, a), _pair_sums(masks, masks))
+    monkeypatch.setattr(core, "_PAIRS_BLOCK", block)
+    assert len(a) * len(b) > block
+    assert _convolve_pairs(a, b) == whole[0]
+    assert list(_convolve_pairs(a, b)) == list(whole[0])
+    assert _convolve_pairs(a, a) == whole[1]
+    keys, counts = _pair_sums(masks, masks)
+    assert keys.tolist() == whole[2][0].tolist()
+    assert counts.tolist() == whole[2][1].tolist()
+
+
+def test_pair_kernel_memory_is_bounded_by_the_block():
+    # 10^6 pairs at n = 16, under (n + 1) * 2^n: the pair kernel's side.  In
+    # one pass its arrays would take some 32 MB; the blocks hold about
+    # 32 * _PAIRS_BLOCK bytes and the dense sums 8 * 2^16.
+    n, l0 = 16, 1000
+    assert l0 * l0 <= (n + 1) << n
+    rng = random.Random(l0)
+    a = {m: rng.choice((-1, 1)) for m in rng.sample(range(1 << n), l0)}
+    keys, values = np.array(list(a), dtype=np.int64), np.array(list(a.values()), dtype=np.int64)
+    for args in ((keys, keys, values, values), (keys, keys)):
+        tracemalloc.start()
+        try:
+            _pair_sums(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * core._PAIRS_BLOCK + (8 << n) + (1 << 20)
+    assert xor_convolve(a, a, n) == _convolve_loop(a, a)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 20, 24])

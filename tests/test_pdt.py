@@ -54,8 +54,7 @@ from boolfourier import (
 from boolfourier import pdt as pdt_module
 from boolfourier.cli import parse_function_spec
 from boolfourier._bits import dot, mask_to_string, popcounts
-from boolfourier.core import _wht_sums
-from boolfourier.pdt import _heavy_direction, _top_pair
+from boolfourier.pdt import _heavy_direction
 from boolfourier.restrict import fold
 
 from helpers import (
@@ -168,8 +167,8 @@ def _greedy_spectra(f, limit=60):
         if spec.l0() < 2:
             continue
         out.append(spec)
-        a1, a2 = _top_pair(spec)
-        stack += [fold(spec, a1 ^ a2, b) for b in (0, 1)]
+        t = pdt_module._greedy_step(spec)[0]
+        stack += [fold(spec, t, b) for b in (0, 1)]
     return out
 
 
@@ -179,12 +178,11 @@ def _greedy_spectra(f, limit=60):
      ("majority", {"n": 9}), ("and", {"n": 6}), ("parity", {"n": 5}),
      ("random_poly", {"n": 8, "d": 3, "seed": 1}), ("random_poly", {"n": 10, "d": 2, "seed": 2})],
 )
-def test_top_pair_is_the_nsmallest_rule(kind, params):
+def test_greedy_step_is_the_nsmallest_rule(kind, params):
     # tie-heavy spectra: every bent coefficient has one magnitude, majority's
     # come in levels by weight
     for spec in _greedy_spectra(generate(FamilySpec(kind, params))):
         a1, a2 = greedy_pair_reference(spec)
-        assert _top_pair(spec) == (a1, a2)
         b = 0 if spec.coeffs[a1] * spec.coeffs[a2] > 0 else 1
         assert pdt_module._greedy_step(spec) == (a1 ^ a2, b, {})
 
@@ -193,10 +191,13 @@ def test_top_pair_is_the_nsmallest_rule(kind, params):
 @given(st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.dictionaries(
         st.integers(0, (1 << n) - 1), st.integers(-3, 3).filter(bool), min_size=2, max_size=40))))
-def test_top_pair_is_the_nsmallest_rule_on_small_values(n_coeffs):
+def test_greedy_step_is_the_nsmallest_rule_on_small_values(n_coeffs):
+    # few magnitudes: ties at the top and at the second magnitude
     n, coeffs = n_coeffs
     spec = Spectrum(n, n, coeffs)
-    assert _top_pair(spec) == greedy_pair_reference(spec)
+    a1, a2 = greedy_pair_reference(spec)
+    assert pdt_module._top_pair(spec) == (a1, a2)
+    assert pdt_module._greedy_step(spec)[0] == a1 ^ a2
 
 
 def test_span_query_tree_and2_frozen():
@@ -768,9 +769,12 @@ def test_greedy_cert_is_a_path_of_the_greedy_tree(n):
 def test_one_transform_per_call(monkeypatch):
     (f,) = [_lifted(e) for e in SPECTRAL_FROZEN.values() if e["n"] == 12]
     assert deg2(f) == 3
+    # span-query and degree-reduce transform f through _wht_sums, to gate
+    # the support before the spectrum's dict is built
     calls = []
-    real_wht = pdt_module.wht
-    monkeypatch.setattr(pdt_module, "wht", lambda g, *check: calls.append(g.n) or real_wht(g, *check))
+    real_wht, real_sums = pdt_module.wht, pdt_module._wht_sums
+    monkeypatch.setattr(pdt_module, "wht", lambda g: calls.append(g.n) or real_wht(g))
+    monkeypatch.setattr(pdt_module, "_wht_sums", lambda t: calls.append(t.size) or real_sums(t))
     for build in (build_greedy_l1, build_heavy_hitter, build_span_query, cert_greedy_l1):
         calls.clear()
         build(f)
@@ -1026,8 +1030,7 @@ def test_span_gate_counts_the_pm_support_off_zero(monkeypatch, leaves):
               generate(FamilySpec("majority", {"n": 3}))):
         pm = to_pm_spectrum(wht(f))
         refused = pm.l0() - (0 in pm.coeffs) >= leaves
-        for gate in (lambda: pdt_module._refuse_wide_span(_wht_sums(f.table)),
-                     lambda: build_span_query(f)):
+        for gate in (lambda: pdt_module._span_root_pm(f), lambda: build_span_query(f)):
             try:
                 gate()
             except TooLarge:
