@@ -412,7 +412,7 @@ def _xor_butterfly(table: np.ndarray) -> np.ndarray:
 def anf_of(f: BooleanFunction) -> ANF:
     """GF(2) Moebius transform: monomial masks with coefficient 1."""
     coeff = _xor_butterfly(f.table)
-    return ANF(f.n, frozenset(np.flatnonzero(coeff).tolist()))
+    return ANF(f.n, frozenset(np.flatnonzero(coeff != 0).tolist()))
 
 
 def anf_to_function(anf: ANF) -> BooleanFunction:
@@ -428,7 +428,7 @@ def anf_to_function(anf: ANF) -> BooleanFunction:
 
 def deg2(f: BooleanFunction) -> int:
     """GF(2) degree; 0 for constants."""
-    monomials = np.flatnonzero(_xor_butterfly(f.table))
+    monomials = np.flatnonzero(_xor_butterfly(f.table) != 0)
     return int(np.bitwise_count(monomials).max()) if monomials.size else 0
 
 
@@ -494,7 +494,7 @@ def _pair_block(a_keys, b_keys, a_vals, b_vals) -> Tuple[np.ndarray, np.ndarray]
     if a_vals is None:
         return keys[starts], np.diff(starts, append=keys.size)
     sums = np.add.reduceat(np.multiply.outer(a_vals, b_vals).ravel()[order], starts)
-    nz = np.flatnonzero(sums)
+    nz = np.flatnonzero(sums != 0)
     return keys[starts[nz]], sums[nz]
 
 
@@ -555,7 +555,7 @@ def _convolve_butterfly(a: Mapping[int, int], b: Mapping[int, int], n: int) -> D
     if not wide and (int(np.abs(ha).max()) * int(np.abs(hb).max())) << n >= _INT64_SAFE:
         ha, hb = ha.astype(object), hb.astype(object)
     conv = _butterfly_sum(ha * hb)
-    nz = np.flatnonzero(conv)
+    nz = np.flatnonzero(conv != 0)
     return dict(zip(nz.tolist(), (conv[nz] >> n).tolist()))
 
 

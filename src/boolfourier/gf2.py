@@ -7,7 +7,9 @@ XORs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ._bits import lowest_set_bit, span_points
 from .errors import DependentInput, DimensionMismatch
@@ -40,6 +42,37 @@ def _greedy_basis(rows: Iterable[int]) -> List[int]:
             basis.append(row)
             ech.append(r)
     return basis
+
+
+def _greedy_coords(rows: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """``_greedy_basis`` of an int64 row array, and each row's coordinates in it.
+
+    A row is the XOR of the basis rows at the set bits of its coordinates.
+    One pass over the rows per basis row: ``red`` holds each row XOR the
+    basis rows at the set bits of ``coords``, so it is zero once the row is
+    in the span of the basis so far.  The first nonzero entry of ``red``
+    is the next basis row, and its highest bit is cleared from every row
+    after it.  Later pivots have that bit clear, so it stays clear.
+    """
+    red = rows.copy()
+    coords = np.zeros_like(red)
+    basis: List[int] = []
+    i = 0
+    while i < len(red):
+        nonzero = red[i:] != 0
+        j = int(nonzero.argmax())
+        if not nonzero[j]:
+            break
+        i += j
+        pivot = int(red[i])  # the XOR of basis rows coords[i] and the new one
+        mix = int(coords[i]) | (1 << len(basis))
+        coords[i] = 1 << len(basis)
+        basis.append(int(rows[i]))
+        i += 1
+        hit = (red[i:] >> (pivot.bit_length() - 1)) & 1
+        red[i:] ^= hit * pivot
+        coords[i:] ^= hit * mix
+    return basis, coords
 
 
 def gf2_rank(rows: Iterable[int]) -> int:

@@ -10,9 +10,11 @@ construction.
 Trees and certificates share one walk.  It folds the +/-1 spectrum of f
 and the frame along a query at each node, so trace l1 numerators stay over
 the root denominator ``2**f.n`` and are comparable along every path.  Every
-tree builder is a chooser over ``_grow``, which expands both branches; a
-certificate is one root-to-leaf path of the greedy tree (``_greedy_path``),
-following either the preferred branch or the one holding an anchor point.
+tree builder is a chooser over ``_grow``, which expands both branches.  A
+span-query subtree, where every node of a level asks the same mask, is
+built a level at a time instead (``_span_subtree``).  A certificate is one
+root-to-leaf path of the greedy tree (``_greedy_path``), following either
+the preferred branch or the one holding an anchor point.
 Both take each fold from ``_fold_step``, turn an answer into a fold bit by
 ``_Frame.fold_bit`` and take the branch's frame from ``_Frame.branches``.
 The frame is ``restrict._Frame``, the one code path that restricts: a
@@ -36,7 +38,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +55,8 @@ from .core import (
     N_MAX,
     BooleanFunction,
     Spectrum,
+    _as_arrays,
+    _butterfly_level,
     _mobius_levels,
     _pair_counts,
     _spectrum_of_sums,
@@ -71,7 +75,7 @@ from .errors import (
     NotFound,
     TooLarge,
 )
-from .gf2 import _greedy_basis, dickson_matrix, gf2_rank
+from .gf2 import _greedy_coords, dickson_matrix, gf2_rank
 from .restrict import (
     AffineConstraint,
     _Frame,
@@ -235,6 +239,14 @@ def _column(bits: int) -> array:
     return next(array(code) for code in "bhiq" if bits < 8 * array(code).itemsize)
 
 
+def _put(column: array, values: np.ndarray) -> None:
+    """Append an int64 array to a column, or raise OverflowError if a value does not fit."""
+    bounds = np.iinfo(column.typecode)
+    if values.size and (values.min() < bounds.min or values.max() > bounds.max):
+        raise OverflowError(f"a trace value does not fit array type {column.typecode!r}")
+    column.frombytes(values.astype(column.typecode).tobytes())
+
+
 class BuildTrace(Sequence):
     """The nodes of one build in creation order, stored by column.
 
@@ -298,6 +310,29 @@ class BuildTrace(Sequence):
             self._info_ids[key] = info_id
             self._infos.append(info)
         return node_id
+
+    def extend(self, columns: Iterable[np.ndarray], info: dict) -> None:
+        """Append nodes by column, every one annotated ``info``.
+
+        ``columns`` yields int64 arrays of the nodes' parents, branches,
+        masks, l0 and l1_num, in that order and with None as -1; each is
+        taken once the one before it is written.  As in ``add``, a value
+        that does not fit raises OverflowError and leaves the trace as it was.
+        """
+        start = len(self)
+        key = tuple(info.items())
+        info_id = self._info_ids.get(key, len(self._infos))
+        try:
+            for column, values in zip(self._columns, columns):
+                _put(column, values)
+            _put(self._columns[-1], np.full(len(self) - start, info_id))
+        except OverflowError:
+            for column in self._columns:
+                del column[start:]
+            raise
+        if info_id == len(self._infos):
+            self._info_ids[key] = info_id
+            self._infos.append(info)
 
     @property
     def nodes(self) -> "BuildTrace":
@@ -484,7 +519,9 @@ def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
     ``choose(spec, frame, state)`` returns ``(q, t, info, child_state)``:
     the original mask to query, its direction in the frame's coordinates,
     the trace annotations and the state both children get.  ``q`` is None
-    for a leaf, whose value is the constant ``spec``.  ``state`` is the
+    for a leaf, whose value is the constant ``spec``, and ``_SPAN`` when
+    span-query's subtree, every node annotated ``info``, takes the node
+    (``_span_subtree``, a level at a time, with no fold).  ``state`` is the
     root's state.
     """
     n = pm.n
@@ -495,6 +532,8 @@ def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
 
     def rec(spec: Spectrum, frame: _Frame, state, parent, branch) -> PdtNodeOrLeaf:
         q, t, info, child_state = choose(spec, frame, state)
+        if q is _SPAN:
+            return _span_subtree(spec, frame, info, trace, subtrees, parent, branch)
         node_id = trace.add(
             parent_id=parent,
             branch=branch,
@@ -571,41 +610,121 @@ def build_heavy_hitter(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
 # support of 2**20 or more nonzero masks spans more than 20 dimensions.
 _SPAN_LEAVES = 1 << 20
 _SPAN_TOO_LARGE = "span dimension more than 20 would need more than 2^20 leaves"
+# A chooser's query for a node that span-query's subtree takes.
+_SPAN = object()
 
 
-def _choose_span(spec: Spectrum, frame: _Frame, state):
-    """Chooser querying a basis of the support's span in order, then a leaf.
+def _span_array(spec: Spectrum, frame: _Frame) -> Tuple[List[int], np.ndarray]:
+    """Span-query's queries at a node, and the node's numerators by their coordinates.
 
-    ``state`` is (pending original masks, info); pending None starts a
-    span-query subtree here.  Its masks are the greedy independent subset of
-    the support of ``spec`` scanned in x1-first order (mask 0 is never
-    taken), mapped to original masks; more than 20 would need more than
-    2**20 leaves and raise TooLarge.  A support of ``_SPAN_LEAVES`` or more
-    nonzero masks is refused before the scan.
-    Each mask is pulled back through the frame of its level, and ``spec``
-    is constant after the last one.  Every node, leaves included, shares
-    the one ``info`` dict: a dict per node costs memory on large trees.
+    The queries q_1..q_r are the greedy independent subset b_1..b_r of the
+    support of ``spec`` scanned in x1-first order (mask 0 is never taken),
+    mapped to original masks.  More than 20 would need more than 2**20
+    leaves and raise TooLarge; a support of ``_SPAN_LEAVES`` or more
+    nonzero masks is refused before the scan.  The numerator of the mask
+    with coordinates c in b_1..b_r, times (-1)^<c, s>, is at index c of the
+    array, c_1 its highest bit.  s_i = ``frame.fold_bit(q_i, 0)``.  A
+    function of its own, so that the support's arrays are freed before the
+    tree's levels are built.
     """
-    pending, info = state
-    if pending is None:
-        n = spec.n
-        if spec.l0() - (0 in spec.coeffs) >= _SPAN_LEAVES:
-            raise TooLarge(_SPAN_TOO_LARGE)
-        basis = _greedy_basis(sorted(spec.coeffs, key=lambda m: lex_key(m, n)))
-        if (d := len(basis)) > 20:
-            raise TooLarge(f"span dimension {d} would need 2^{d} leaves")
-        pending = tuple(map(frame.query_mask, basis))
-    if not pending:
-        return None, 0, info, None
-    q = pending[0]
-    t = frame.pullback(q)
-    if t == 0:
-        raise BoolFourierError("internal: pending query collapsed under folding")
-    return q, t, info, (pending[1:], info)
+    if spec.l0() - (0 in spec.coeffs) >= _SPAN_LEAVES:
+        raise TooLarge(_SPAN_TOO_LARGE)
+    masks, nums = _as_arrays(spec.coeffs)
+    order = np.argsort(lex_keys(masks, spec.n))
+    basis, coords = _greedy_coords(masks[order])
+    if (r := len(basis)) > 20:
+        raise TooLarge(f"span dimension {r} would need 2^{r} leaves")
+    queries = [frame.query_mask(b) for b in basis]
+    shift = sum(frame.fold_bit(q, 0) << (r - 1 - i) for i, q in enumerate(queries))
+    index = lex_keys(coords, r)  # coordinate c_1 to the highest bit
+    a = np.zeros(1 << r, dtype=np.int64)
+    a[index] = np.where(np.bitwise_count(index & shift) & 1, -nums[order], nums[order])
+    return queries, a
+
+
+def _span_subtree(
+    spec: Spectrum,
+    frame: _Frame,
+    info: dict,
+    trace: BuildTrace,
+    subtrees: dict,
+    parent: Optional[int],
+    branch: Optional[int],
+) -> PdtNodeOrLeaf:
+    """Span-query's subtree at a node of ``_grow``, built a level at a time.
+
+    Every path asks the queries of ``_span_array`` in order, so the node at
+    depth k is the answers beta_1..beta_k, and spec is constant after q_r.
+    On the frame's subspace <q_i, x> = beta_i is <b_i, y> = beta_i ^ s_i.
+    So the node's restriction merges the masks that agree in their
+    coordinates c past k, each with sign (-1)^<c, beta ^ s> on c_1..c_k.
+    The butterfly level over c_k therefore leaves node beta's merged
+    coefficients, up to one sign, in row beta of the array cut into 2**k
+    rows.  Each level's l0 and l1_num are a count and a sum per row, and
+    after level r each row is a leaf's +/-2**denom_exp.
+
+    Trace rows go in ``_grow``'s preorder: the children of the node with
+    id i at depth k get ids i + 1 and i + 2**(r-k).  Every row shares
+    ``info``.  The nodes are made bottom-up, one per distinct pair of
+    children a level, through ``_grow``'s ``subtrees``.
+    """
+    queries, a = _span_array(spec, frame)
+    r = len(queries)
+    # one entry per node, level after level: level k is [2**k - 1, 2**(k+1) - 1).
+    # r <= 20, so node counts and ids fit int32.
+    l0, at = np.empty((2, (2 << r) - 1), dtype=np.int32)
+    l1 = np.empty((2 << r) - 1, dtype=np.int64)
+    at[0] = 0  # each node's id in preorder, from the subtree's root
+    for k in range(r + 1):
+        level = slice((1 << k) - 1, (2 << k) - 1)
+        if k:
+            _butterfly_level(a, 1 << (r - k))
+            above = at[(1 << (k - 1)) - 1 : (1 << k) - 1]
+            at[level] = (above[:, None] + [1, 2 << (r - k)]).ravel()
+        rows = a.reshape(1 << k, -1)
+        l0[level] = np.count_nonzero(rows, axis=1)
+        np.abs(rows).sum(axis=1, out=l1[level])
+    if (l1[-(1 << r) :] != 1 << spec.denom_exp).any():
+        raise BoolFourierError("internal: spectrum is not a +/-1 constant")
+
+    # made: a level's distinct subtrees; kids: each of its rows' index in made
+    made, kids = _LEAVES, (a < 0).astype(np.int64)
+    del a  # freed before the trace's columns are made
+    for q in reversed(queries):
+        width = len(made)
+        pairs, kids = np.unique(kids[0::2] * width + kids[1::2], return_inverse=True)
+        children = [(made[p // width], made[p % width]) for p in pairs.tolist()]
+        made = [subtrees.setdefault((q, id(c0), id(c1)), PdtNode(q, c0, c1)) for c0, c1 in children]
+
+    base = len(trace)
+    root = (-1 if parent is None else parent, -1 if branch is None else branch)
+
+    def by_level() -> Iterator[np.ndarray]:
+        """The columns one at a time, each one's rows level by level."""
+        # the rows after the root, level by level, are the children of the
+        # nodes above the leaves, level by level, two each
+        yield np.concatenate([root[:1], np.repeat(at[: (1 << r) - 1] + base, 2)])
+        yield np.concatenate([root[1:], np.tile([0, 1], (1 << r) - 1)])
+        yield np.repeat([*queries, -1], [1 << k for k in range(r + 1)])
+        yield l0
+        yield l1
+
+    def in_preorder(values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[at] = values
+        return out
+
+    trace.extend(map(in_preorder, by_level()), info)
+    return made[int(kids[0])]
+
+
+def _span_chooser(_spec: Spectrum, _frame: _Frame, info: dict):
+    """Chooser handing the whole tree to span-query's subtree, annotated ``info``."""
+    return _SPAN, None, info, None
 
 
 def _span_root_pm(f: BooleanFunction) -> Spectrum:
-    """``_pm_of(f)``, refused by ``_choose_span``'s support gate before any dict.
+    """``_pm_of(f)``, refused by ``_span_subtree``'s support gate before any dict.
 
     The gate counts the nonzero character sums at s != 0: the +/-1
     coefficient there is -2 times the sum, so the count is the same.
@@ -618,7 +737,7 @@ def _span_root_pm(f: BooleanFunction) -> Spectrum:
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """Query a basis of the span of the support; depth is the span's dimension."""
-    return _grow(_span_root_pm(f), _choose_span, (None, {}))
+    return _grow(_span_root_pm(f), _span_chooser, {})
 
 
 # ---------------------------------------------------------------------------
@@ -910,24 +1029,29 @@ def build_degree_reduce(
     Each round finds a minimal constraint set whose every coset drops the
     GF(2) degree of the current restriction, queries all of it (expanding the
     subtree over every answer combination), restricts, and repeats; at most
-    deg2(f) rounds on any path.  If the subspace search exceeds its budget
-    (or the function is too large for it), the subtree is finished by
-    span-query's chooser, under its size gate, and flagged in the trace.
+    deg2(f) rounds on any path.  A round's queries are walked by ``_grow``
+    a node at a time, since each node where they run out starts a round of
+    its own.  If the subspace search exceeds its budget (or the function is
+    too large for it), span-query's level pass (``_span_subtree``) finishes
+    the subtree, under its size gate, and flags it in the trace.
     """
 
     def choose(spec: Spectrum, frame: _Frame, state):
-        # state: (pending masks, info) as for span queries; a round starts
+        # state: (the round's pending original masks, info); a round starts
         # where the pending masks run out and the restriction is not constant
         pending, info = state
-        if pending or (spec.l0() == 1 and 0 in spec.coeffs):
-            return _choose_span(spec, frame, state)
+        if pending:
+            q = pending[0]
+            return q, frame.pullback(q), info, (pending[1:], info)
+        if spec.l0() == 1 and 0 in spec.coeffs:
+            return None, 0, info, None
         round_no = info["round"] + 1
         try:
             subspace = degree_reducing_subspace(
                 frame.restriction(f), max_codim, max_candidates
             )
         except (NotFound, TooLarge):
-            return _choose_span(spec, frame, (None, {"fallback": True, "round": round_no}))
+            return _SPAN, None, {"fallback": True, "round": round_no}, None
         rest = tuple(frame.query_mask(t) for t in subspace[1:])
         info = {"round": round_no, "round_queries": len(subspace)}
         t = subspace[0]
@@ -1030,7 +1154,7 @@ def cert_norm_halving_with_trace(
     constraints: List[AffineConstraint] = []
     steps: List[HalvingStep] = []
     while True:
-        monomials = np.flatnonzero(_xor_butterfly(g.table))
+        monomials = np.flatnonzero(_xor_butterfly(g.table) != 0)
         weights = np.bitwise_count(monomials)
         if not (weights > 2).any():
             break
@@ -1049,7 +1173,7 @@ def cert_norm_halving_with_trace(
         # the first index where the derivative takes its value
         deriv_spec = _pm_of(deriv)
         ys = [int(np.argmax(deriv.table == bit)) for bit in (0, 1)]
-        subs = [_greedy_path(deriv_spec, frame, a)[0] for a in frame.points()[ys].tolist()]
+        subs = [_greedy_path(deriv_spec, frame, frame.point(y))[0] for y in ys]
         b_star = 0 if 2 * l1_0 <= l1_total else 1
         for c in subs[b_star]:
             spec, frame = _child(spec, frame, c.mask, frame.pullback(c.mask), c.bit)

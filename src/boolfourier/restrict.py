@@ -174,6 +174,14 @@ class _Frame:
         shift1 = self.shift ^ self.basis[highest_set_bit(t)]
         return _Frame(new_basis, new_dual, self.shift), _Frame(new_basis, new_dual, shift1)
 
+    def point(self, y: int) -> int:
+        """The original point of the current point y."""
+        x = self.shift
+        for i, v in enumerate(self.basis):
+            if (y >> i) & 1:
+                x ^= v
+        return x
+
     def points(self) -> np.ndarray:
         """The original point of every current point y, at index y."""
         return span_points(self.basis, self.shift)
@@ -214,11 +222,29 @@ def restrict_affine(
     return frame.restriction(f)
 
 
+# Bits 0, 1 and 2 of x swap the halves of words of 2, 4 and 8 table bytes.
+_WORDS = (np.uint16, np.uint32, np.uint64)
+
+
 def derivative(f: BooleanFunction, t: int) -> BooleanFunction:
-    """Discrete derivative x -> f(x) ^ f(x ^ t)."""
+    """Discrete derivative x -> f(x) ^ f(x ^ t).
+
+    The table at x ^ t is the table with its halves swapped along each set
+    bit of t.  Bits 0-2 rotate each word of ``_WORDS`` by half its width,
+    one pass a bit.  The bits from 3 up are the axes of the table's 8-byte
+    words viewed as a 2 x ... x 2 array, all reversed by one copy.
+    """
     _check_direction(f.n, t)
-    idx = np.arange(1 << f.n, dtype=np.int64) ^ np.int64(t)
-    return BooleanFunction(f.n, f.table ^ f.table[idx])
+    g = f.table
+    for i in range(min(3, f.n)):
+        if (t >> i) & 1:
+            words, half = g.view(_WORDS[i]), 8 << i  # half of 16 << i bits
+            g = ((words >> half) | (words << half)).view(np.uint8)
+    if t >> 3:
+        words = g.view(np.uint64).reshape((2,) * (f.n - 3))  # axis j: bit n - 1 - j of x
+        g = np.flip(words, [f.n - 1 - i for i in range(3, f.n) if (t >> i) & 1])
+        g = g.ravel().view(np.uint8)
+    return BooleanFunction(f.n, f.table ^ g)
 
 
 def spectrum_split(spectrum: Spectrum, t: int) -> Tuple[Spectrum, Spectrum]:

@@ -4,11 +4,12 @@ records of frozen certificates.
 The oracles recompute everything from definitions in plain Python (direct
 double-loop transforms, subset-sum Moebius, point-selection restrictions,
 Fraction Gaussian elimination) so package results can be checked against
-arithmetic that shares no code with the implementation.  Two references
+arithmetic that shares no code with the implementation.  Three references
 are slow loops the vectorized code is checked against instead:
 ``protocol_oracle``, the per-pair loop over ``simulate_protocol`` behind
-``verify_protocol``, and ``first_drop_reference``, the per-candidate
-degree-drop search behind the batched one.
+``verify_protocol``, ``first_drop_reference``, the per-candidate
+degree-drop search behind the batched one, and ``span_tree_oracle``, one
+``restrict_affine`` and ``wht`` per node behind span-query's level pass.
 """
 
 from __future__ import annotations
@@ -22,13 +23,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from boolfourier import (
+    AffineConstraint,
     FamilySpec,
     NotFound,
     TooLarge,
     cert_greedy_l1,
     cert_norm_halving_with_trace,
     generate,
+    restrict_affine,
     simulate_protocol,
+    to_pm_spectrum,
+    wht,
 )
 from boolfourier._bits import mask_to_string
 
@@ -118,6 +123,56 @@ def greedy_pair_reference(spectrum) -> Tuple[int, int]:
         2, spectrum.coeffs.items(), key=lambda kv: (-abs(kv[1]), x1_first_string(kv[0], n))
     )
     return a1, a2
+
+
+def span_basis_oracle(table: Sequence[int]) -> List[int]:
+    """The support masks of the (-1)^f spectrum independent of those before them, x1-first.
+
+    Span-query's queries at the root, where the frame is the identity.
+    """
+    n = (len(table) - 1).bit_length()
+    basis: List[int] = []
+    for s in sorted(pm_spectrum_oracle(table), key=lambda m: x1_first_string(m, n)):
+        if s and _independent(basis + [s]):
+            basis.append(s)
+    return basis
+
+
+def span_tree_oracle(
+    f, queries: Sequence[int], path: Sequence[Tuple[int, int]] = (), parent=None, branch=None,
+    start: int = 0,
+) -> Tuple[List[tuple], dict]:
+    """Span-query's subtree at a node, from the definition: (trace rows, tree dict).
+
+    The node is f restricted to ``path``, (mask, bit) constraints, and every
+    path of the subtree asks ``queries`` in order.  Each node gets one row
+    (parent, branch, mask, l0, l1_num), in depth-first preorder with ids
+    from ``start``: ``restrict_affine`` along its path, then ``wht``, with
+    the +/-1 l1 numerator scaled from 2**m, m the restriction's variables,
+    to the root denominator 2**n.  A leaf's value is its restriction's
+    constant, which must be constant.
+    """
+    rows: List[tuple] = []
+
+    def node(path, parent, branch):
+        g = restrict_affine(f, [AffineConstraint(m, b) for m, b in path])
+        pm = to_pm_spectrum(wht(g)).coeffs
+        node_id = start + len(rows)
+        depth = len(path) - len(base)
+        mask = queries[depth] if depth < len(queries) else None
+        rows.append((parent, branch, mask, len(pm), sum(map(abs, pm.values())) << (f.n - g.n)))
+        if mask is None:
+            assert g.is_constant()
+            return {"value": int(g.table[0])}
+        return {
+            "query": mask_to_string(mask, f.n),
+            "child0": node(path + ((mask, 0),), node_id, 0),
+            "child1": node(path + ((mask, 1),), node_id, 1),
+        }
+
+    base = tuple(path)
+    tree = node(base, parent, branch)
+    return rows, tree
 
 
 def _independent(masks: Sequence[int]) -> bool:

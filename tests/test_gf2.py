@@ -1,6 +1,8 @@
 """GF(2) linear algebra: ranks, inversion, substitution, Dickson form."""
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -23,7 +25,7 @@ from boolfourier import (
     wht,
 )
 from boolfourier._bits import dot, span_points
-from boolfourier.gf2 import dickson_matrix, echelon_pivots
+from boolfourier.gf2 import _greedy_basis, _greedy_coords, dickson_matrix, echelon_pivots
 
 from helpers import _independent
 
@@ -55,6 +57,19 @@ def test_rank_matches_elimination_oracle(masks):
             best = size
             break
     assert r == best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, (1 << 24) - 1) | st.integers(0, 15), max_size=40))
+def test_greedy_coords_match_greedy_basis(rows):
+    # the same basis, and every row is the XOR of the basis rows its
+    # coordinates name
+    basis, coords = _greedy_coords(np.array(rows, dtype=np.int64))
+    assert basis == _greedy_basis(rows)
+    for row, c in zip(rows, coords.tolist()):
+        assert 0 <= c < 1 << len(basis)
+        named = [b for j, b in enumerate(basis) if c >> j & 1]
+        assert row == functools.reduce(operator.xor, named, 0)
 
 
 def test_echelon_pivots():

@@ -4,6 +4,7 @@ import itertools
 import json
 import time
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ from boolfourier import pdt as pdt_module
 from boolfourier.cli import parse_function_spec
 from boolfourier._bits import dot, mask_to_string, popcounts
 from boolfourier.pdt import _heavy_direction
-from boolfourier.restrict import fold
+from boolfourier.restrict import _Frame, fold
 
 from helpers import (
     _independent,
@@ -70,6 +71,8 @@ from helpers import (
     query_mask_oracle,
     rank_oracle,
     rref_bases_reference,
+    span_basis_oracle,
+    span_tree_oracle,
     subspace_table,
     x1_first_string,
 )
@@ -220,6 +223,120 @@ def test_span_query_tree_and2_frozen():
     }
 
 
+def _rows(trace):
+    return [(t.parent_id, t.branch, t.mask, t.l0, t.l1_num) for t in trace]
+
+
+def _span_corpus():
+    for n in range(2, 9):
+        for d in range(2, min(n, 4) + 1):
+            for seed in (1, 2):
+                yield generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
+    for k in (2, 4, 6, 8):
+        yield generate(FamilySpec("bent_ip", {"k": k}))
+    for n in (1, 3, 5, 7):
+        yield generate(FamilySpec("majority", {"n": n}))
+    yield BooleanFunction(3, [1] * 8)
+
+
+def test_span_query_matches_span_tree_oracle():
+    # every row and the tree against one restriction and transform per node,
+    # the queries against the greedy basis of the root's support
+    for f in _span_corpus():
+        tree, trace = build_span_query(f)
+        rows, root = span_tree_oracle(f, span_basis_oracle(f.table))
+        assert _rows(trace) == rows, f
+        assert tree_to_dict(tree) == {"n": f.n, "root": root}, f
+        assert all(node.info is trace[0].info for node in trace)
+
+
+def _span_roots(trace, flag):
+    """(id, path) of every node whose info has ``flag`` and whose parent's has not.
+
+    A path is the (mask, bit) constraints from the root to the node.
+    """
+    paths = []
+    for node in trace:
+        parent = node.parent_id
+        paths.append(() if parent is None else paths[parent] + ((trace[parent].mask, node.branch),))
+        if node.info.get(flag) and (parent is None or not trace[parent].info.get(flag)):
+            yield node.node_id, paths[-1]
+
+
+def _check_span_subtrees(f, tree, trace, flag) -> Tuple[int, int]:
+    """Each span-query subtree of a build against ``span_tree_oracle`` on its restriction.
+
+    Returns how many of them start at a frame with a shift, and how many at
+    one where some query's fold bit differs from its answer.
+    """
+    shifted = flipped = 0
+    for i, path in _span_roots(trace, flag):
+        queries = []
+        while trace[i + len(queries)].mask is not None:  # the leftmost path asks them all
+            queries.append(trace[i + len(queries)].mask)
+        node = trace[i]
+        rows, root = span_tree_oracle(f, queries, path, node.parent_id, node.branch, start=i)
+        assert _rows(trace[i : i + len(rows)]) == rows, (f, i)
+        subtree = tree.root
+        for _, bit in path:
+            subtree = subtree.child1 if bit else subtree.child0
+        assert tree_to_dict(Pdt(f.n, subtree)) == {"n": f.n, "root": root}
+        g = restrict_affine(f, [AffineConstraint(m, b) for m, b in path])
+        assert len(queries) == len(span_basis_oracle(g.table))
+        frame = _Frame.identity(f.n)
+        for mask, bit in path:
+            frame = frame.branches(frame.pullback(mask))[frame.fold_bit(mask, bit)]
+        shifted += frame.shift != 0
+        flipped += any(frame.fold_bit(q, 0) for q in queries)
+    return shifted, flipped
+
+
+@pytest.mark.parametrize("budget", [1, 5])
+def test_degree_reduce_fallback_subtrees_match_span_tree_oracle(budget):
+    # each fallback subtree, also where it starts below a round, against the
+    # oracle on its restriction; at some of those nodes the frame is shifted
+    shifted = 0
+    for d, n, seed in itertools.product((2, 3, 4), range(3, 9), range(1, 7)):
+        if d <= n:
+            f = generate(FamilySpec("random_poly", {"n": n, "d": d, "seed": seed}))
+            tree, trace = build_degree_reduce(f, max_candidates=budget)
+            shifted += _check_span_subtrees(f, tree, trace, "fallback")[0]
+    assert shifted
+
+
+def test_span_subtrees_below_flipping_frames():
+    # _grow asks a few random masks, then span-query takes each node below
+    # them.  There some frames turn an answer into the other fold bit, which
+    # no degree-reduce fallback has been seen to reach.
+    rng = np.random.default_rng(25)
+    flipped = 0
+    for n, seed in itertools.product(range(3, 9), (1, 2, 3)):
+        f = generate(FamilySpec("random_poly", {"n": n, "d": 3, "seed": seed}))
+        prefix = []
+        while len(prefix) < min(3, n - 1):
+            q = int(rng.integers(1, 1 << n))
+            if _independent(prefix + [q]):
+                prefix.append(q)
+
+        def choose(spec, frame, depth):
+            if depth < len(prefix):
+                return prefix[depth], frame.pullback(prefix[depth]), {}, depth + 1
+            return pdt_module._SPAN, None, {"span": True}, None
+
+        tree, trace = pdt_module._grow(to_pm_spectrum(wht(f)), choose, 0)
+        assert pdt_check(f, tree).correct
+        flipped += _check_span_subtrees(f, tree, trace, "span")[1]
+    assert flipped
+
+
+def test_span_query_bent_ip_16():
+    f = generate(FamilySpec("bent_ip", {"k": 16}))
+    tree, trace = build_span_query(f)
+    assert len(trace) == 131_071
+    report = pdt_check(f, tree)
+    assert report.correct and report.depth == 16
+
+
 def test_degree_reduce_tree_and2_frozen():
     tree, trace = build_degree_reduce(AND2)
     assert tree_to_dict(tree) == {
@@ -294,6 +411,25 @@ def test_build_trace_column_overflow_raises():
         (0, 1, (1 << 63) - 1),
     ]
     assert len(small.nodes) == 0
+
+
+def test_build_trace_extend_matches_add():
+    # nodes appended by column read back as the same nodes added one by one,
+    # and a value out of range at any column leaves the trace as it was
+    rows = [(-1, -1, 3, 4, 64), (0, 0, 1, 2, 32), (1, 0, -1, 1, 16), (1, 1, -1, 1, 16)]
+    one, by_column = BuildTrace(n=4), BuildTrace(n=4)
+    for parent, branch, mask, l0, l1 in rows:
+        one.add(parent if parent >= 0 else None, branch if branch >= 0 else None,
+                mask if mask >= 0 else None, l0, l1, info={"a": 1})
+    by_column.extend(np.array(rows, dtype=np.int64).T, info={"a": 1})
+    assert list(by_column) == list(one)
+    for column in range(5):
+        bad = np.array(rows, dtype=np.int64).T.copy()
+        bad[column, -1] = 1 << 40
+        with pytest.raises(OverflowError):
+            by_column.extend(bad, info={"b": 2})
+        assert list(by_column) == list(one)
+        assert {tuple(node.info.items()) for node in by_column} == {(("a", 1),)}
 
 
 def test_builders_ip4_shapes():
@@ -996,7 +1132,7 @@ def test_span_gate_refuses_a_large_support_before_the_scan(monkeypatch):
     def scan(rows):
         raise AssertionError("the support was scanned")
 
-    monkeypatch.setattr(pdt_module, "_greedy_basis", scan)
+    monkeypatch.setattr(pdt_module, "_greedy_coords", scan)
     g = generate(FamilySpec("bent_ip", {"k": 20}))
     f = BooleanFunction(21, np.concatenate([g.table, 1 - g.table]))
     start = time.perf_counter()

@@ -172,6 +172,34 @@ def test_derivative_lowers_degree(f, data):
         assert deg2(derivative(f, t)) < deg2(f)
 
 
+def test_derivative_matches_the_index_gather():
+    # the halves swapped along each bit of t, against f(x ^ t) gathered by index
+    rng = np.random.default_rng(25)
+    cases = [(n, t) for n in range(1, 7) for t in range(1, 1 << n)]
+    cases += [(n, int(t)) for n in range(7, 13) for t in rng.integers(1, 1 << n, 40)]
+    cases += [(20, 1 << i) for i in range(20)]
+    tables = {}
+    for n, t in cases:
+        if n not in tables:
+            tables[n] = BooleanFunction(n, rng.integers(0, 2, 1 << n))
+        f = tables[n]
+        gathered = f.table ^ f.table[np.arange(1 << n) ^ t]
+        assert np.array_equal(derivative(f, t).table, gathered), (n, t)
+
+
+def test_frame_point_is_the_points_entry():
+    from boolfourier.restrict import _Frame
+
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        frame = _Frame.identity(n)
+        for _ in range(n):
+            pts = frame.points()
+            assert [frame.point(y) for y in range(len(pts))] == pts.tolist()
+            t = int(rng.integers(1, 1 << frame.m))
+            frame = frame.branches(t)[int(rng.integers(2))]
+
+
 def test_derivative_frozen():
     assert list(derivative(AND2, 3).table) == [1, 0, 0, 1]  # x1 xnor x2
 
