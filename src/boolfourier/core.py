@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def _butterfly_level(a: np.ndarray, h: int, dtype=None) -> np.ndarray:
     a signed sum of two inputs, so the level at most doubles the largest
     magnitude; callers pick a dtype that holds the doubled value.
     """
-    b = a.reshape(-1, 2, h, *a.shape[1:])
+    b = a.reshape(len(a) // (2 * h), 2, h, *a.shape[1:])
     if dtype is not None:
         out = np.empty(a.shape, dtype=dtype)
         o = out.reshape(b.shape)
@@ -306,9 +306,34 @@ _WHT_PASSES = ((np.int8, 1 << 5), (np.int16, 1 << 13), (np.int32, 1 << N_MAX))
 # the transposes cost more than they save (about even at n = 8).
 _WHT_TRANSPOSED_MIN = 1 << 9
 
+# From 2**14 points up, ``_wht_sums`` looks for zero columns after the low
+# ``_PRUNE_BITS`` levels.  Below that the levels above them are too few to
+# pay for the look.
+_PRUNE_BITS = 12
+_PRUNE_MIN = 1 << 14
 
-def _wht_sums(table: np.ndarray) -> np.ndarray:
-    """Exact character sums of a 0/1 table of length 2**n, as int32.
+
+def _kept_columns(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The nonzero columns of ``rows`` ascending, or None when more than half are.
+
+    Row 0's nonzero count is a lower bound for theirs, and answers first on
+    dense inputs.
+    """
+    half = rows.shape[1] // 2
+    if np.count_nonzero(rows[0]) > half:
+        return None
+    cols = np.flatnonzero(np.bitwise_or.reduce(rows, axis=0))
+    return cols if cols.size <= half else None
+
+
+def _wht_sums(
+    table: np.ndarray, most: Optional[int] = None
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Exact nonzero character sums of a 0/1 table of length 2**n: (masks, sums).
+
+    The masks are int64 and ascending, and the sums int32.  When more than
+    ``most`` sums are nonzero it returns None instead, before any array of
+    masks is made.
 
     One gather from ``_WHT_BYTE`` does the first three levels of every byte
     of the packed table; for n < 3 the zero padding of the byte does not
@@ -323,6 +348,12 @@ def _wht_sums(table: np.ndarray) -> np.ndarray:
     one byte (bits 0-2), so bits 3, 4 and 5 have strides size/8, size/4 and
     size/2.  One transpose of the words puts x back in order, and the
     transposed copy is freed before the int16 pass.
+
+    From ``_PRUNE_MIN`` points up, the table after the low ``_PRUNE_BITS``
+    levels is a (rows x 2**12) matrix: the row is the high bits of x, the
+    column the low bits of s.  The levels left mix rows only, so a zero
+    column stays zero.  When at most half the columns are nonzero, those
+    levels run down the nonzero columns alone, and the full table is freed.
     """
     size = table.size
     if size < _WHT_TRANSPOSED_MIN:
@@ -336,17 +367,22 @@ def _wht_sums(table: np.ndarray) -> np.ndarray:
         a = words.T.copy().view(np.int8).reshape(-1)
         del words, flat
         h = 64
+    cols, step = None, 1  # axis 0 of a steps x by step
     for dtype, last in _WHT_PASSES:
         while h < size and h <= last:
-            a = _butterfly_level(a, h, None if a.dtype == dtype else dtype)
+            if h == 1 << _PRUNE_BITS and size >= _PRUNE_MIN:
+                cols = _kept_columns(a.reshape(-1, h))
+                if cols is not None:
+                    a, step = a.reshape(-1, h)[:, cols], h
+            a = _butterfly_level(a, h // step, None if a.dtype == dtype else dtype)
             h <<= 1
-    return a.astype(np.int32, copy=False)
-
-
-def _spectrum_of_sums(n: int, sums: np.ndarray) -> Spectrum:
-    """The Spectrum at denom_exp = n of character sums indexed by mask."""
-    nz = np.flatnonzero(sums != 0)  # 6x faster than on the int32 sums at n = 20
-    return Spectrum._from_clean(n, n, dict(zip(nz.tolist(), sums[nz].tolist())))
+    if most is not None and np.count_nonzero(a) > most:
+        return None
+    if cols is None:
+        masks = np.flatnonzero(a != 0)  # 6x faster than on the int32 sums at n = 20
+        return masks, a[masks].astype(np.int32, copy=False)
+    rows, at = np.nonzero(a)
+    return (rows << _PRUNE_BITS) | cols[at], a[rows, at].astype(np.int32, copy=False)
 
 
 def wht(f: BooleanFunction) -> Spectrum:
@@ -354,7 +390,8 @@ def wht(f: BooleanFunction) -> Spectrum:
 
     Returned numerators are the exact character sums at denom_exp = n.
     """
-    return _spectrum_of_sums(f.n, _wht_sums(f.table))
+    masks, sums = _wht_sums(f.table)
+    return Spectrum._from_clean(f.n, f.n, dict(zip(masks.tolist(), sums.tolist())))
 
 
 def inverse_wht(spectrum: Spectrum) -> BooleanFunction:
@@ -394,6 +431,23 @@ def to_pm_spectrum(spectrum: Spectrum) -> Spectrum:
     if not coeffs[0]:
         del coeffs[0]
     return Spectrum._from_clean(spectrum.n, k, coeffs)
+
+
+def _pm_of_sums(n: int, masks: np.ndarray, sums: np.ndarray) -> Spectrum:
+    """``to_pm_spectrum(wht(f))`` straight from ``_wht_sums``' arrays, with one dict.
+
+    The value at s is -2 times the sum, and 2^n - 2 * sum_0 at mask 0,
+    dropped when zero.  Mask 0 is the first mask unless f is 0 everywhere,
+    when no sum is nonzero and the spectrum is 2^n at mask 0.
+    """
+    if not masks.size:
+        return Spectrum._from_clean(n, n, {0: 1 << n})
+    values = np.multiply(sums, -2, dtype=np.int64)
+    if masks[0] == 0:
+        values[0] += 1 << n
+        if not values[0]:
+            masks, values = masks[1:], values[1:]
+    return Spectrum._from_clean(n, n, dict(zip(masks.tolist(), values.tolist())))
 
 
 def _xor_butterfly(table: np.ndarray) -> np.ndarray:

@@ -59,12 +59,11 @@ from .core import (
     _butterfly_level,
     _mobius_levels,
     _pair_counts,
-    _spectrum_of_sums,
+    _pm_of_sums,
     _wht_sums,
     _xor_butterfly,
     anf_of,
     deg2,
-    to_pm_spectrum,
     wht,
 )
 from .errors import (
@@ -439,7 +438,7 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
 
 
 def _pm_of(g: BooleanFunction) -> Spectrum:
-    return to_pm_spectrum(wht(g))
+    return _pm_of_sums(g.n, *_wht_sums(g.table))
 
 
 def _leaf_bit(spectrum: Spectrum) -> int:
@@ -726,13 +725,17 @@ def _span_chooser(_spec: Spectrum, _frame: _Frame, info: dict):
 def _span_root_pm(f: BooleanFunction) -> Spectrum:
     """``_pm_of(f)``, refused by ``_span_subtree``'s support gate before any dict.
 
-    The gate counts the nonzero character sums at s != 0: the +/-1
-    coefficient there is -2 times the sum, so the count is the same.
+    The gate counts the +/-1 support off mask 0, where each coefficient is
+    -2 times the character sum.  Unless f is 0 everywhere, when nothing is
+    nonzero, the sum at mask 0 (f's ones) is nonzero too.  So the count off
+    mask 0 reaches ``_SPAN_LEAVES`` exactly when more than that many sums
+    are nonzero, and ``_wht_sums`` counts them before it makes any array of
+    masks.
     """
-    sums = _wht_sums(f.table)
-    if np.count_nonzero(sums[1:]) >= _SPAN_LEAVES:
+    found = _wht_sums(f.table, most=_SPAN_LEAVES)
+    if found is None:
         raise TooLarge(_SPAN_TOO_LARGE)
-    return to_pm_spectrum(_spectrum_of_sums(f.n, sums))
+    return _pm_of_sums(f.n, *found)
 
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:

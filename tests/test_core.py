@@ -30,6 +30,7 @@ from boolfourier import (
 )
 from boolfourier import core
 from boolfourier._bits import lex_key, lex_keys
+from boolfourier.families import FamilySpec, generate
 from boolfourier.core import (
     _butterfly_sum,
     _convolve_butterfly,
@@ -259,22 +260,195 @@ def test_wht_transposed_path_boundary(n):
 @pytest.mark.parametrize("n", [3, 9, 16])
 def test_wht_sums_are_int32(n):
     table = np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8)
-    assert _wht_sums(table).dtype == np.int32
+    masks, sums = _wht_sums(table)
+    assert (masks.dtype, sums.dtype) == (np.int64, np.int32)
 
 
-def test_wht_sums_peak_memory_n20():
-    # the transposed copy is freed before the int16 pass, so the peak stays
-    # at the int16 -> int32 widening: 2 + 4 bytes a point, 6 MiB at n = 20,
-    # plus the ufunc's casting buffers of that level (some 64 KiB)
-    n = 20
-    table = np.random.default_rng(20).integers(0, 2, 1 << n, dtype=np.uint8)
+def _peak_beyond_output(table) -> int:
+    """tracemalloc's peak over ``_wht_sums(table)``, less the arrays it returns."""
     tracemalloc.start()
     try:
-        _wht_sums(table)
+        masks, sums = _wht_sums(table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (6 << n) + (96 << 10)
+    return peak - masks.nbytes - sums.nbytes
+
+
+def test_wht_sums_peak_memory_n20():
+    # Dense: the transposed copy is freed before the int16 pass, so beyond
+    # the masks and sums it returns the peak stays at the int16 -> int32
+    # widening: 2 + 4 bytes a point, 6 MiB at n = 20, plus the ufunc's
+    # casting buffers of that level (some 64 KiB).
+    n = 20
+    table = np.random.default_rng(20).integers(0, 2, 1 << n, dtype=np.uint8)
+    assert _peak_beyond_output(table) <= (6 << n) + (96 << 10)
+    # Sparse: the full table is freed when its nonzero columns are kept, so
+    # it never widens past int16; the peak is an in-place int16 level, 2 + 1
+    # bytes a point.
+    f, _ = _lift(generate(FamilySpec("random_poly", {"n": 8, "d": 3, "seed": 20})), _SPREAD, n)
+    assert _peak_beyond_output(f.table) <= (3 << n) + (96 << 10)
+
+
+# ---------------------------------------------------------------------------
+# The column-pruned transform (n >= 14): its levels above bit 12 run on the
+# nonzero columns alone.
+
+# eight coordinates: six in the low 12 bits, two above them (n >= 14)
+_SPREAD = (1, 4, 6, 9, 10, 11, 12, 13)
+
+
+def _lift(g: BooleanFunction, coords, n):
+    """f(x) = g(x at ``coords``) on n variables, and f's sums by ``wht_oracle(g)``.
+
+    g's mask t moves to the bits ``coords`` of f's mask, and each sum is
+    2^(n - k) times g's, k = len(coords).
+    """
+    x = np.arange(1 << n)
+    inner = sum(((x >> c) & 1) << i for i, c in enumerate(coords))
+    f = BooleanFunction(n, g.table[inner])
+    expected = {}
+    for t, num in wht_oracle(g.table.tolist()).items():
+        expected[sum(1 << c for i, c in enumerate(coords) if t >> i & 1)] = num << (n - len(coords))
+    return f, dict(sorted(expected.items()))
+
+
+def _and_of(coords, n):
+    """AND of the coordinates, lifted to n: sum (-1)^|s| * 2^(n - k) at each s within them."""
+    x = np.arange(1 << n)
+    full = sum(1 << c for c in coords)
+    f = BooleanFunction(n, ((x & full) == full).astype(np.uint8))
+    subsets = np.arange(1 << len(coords))
+    masks = np.zeros_like(subsets)
+    for i, c in enumerate(coords):
+        masks |= ((subsets >> i) & 1) << c
+    masks.sort()
+    return f, {m: (-1) ** m.bit_count() << (n - len(coords)) for m in masks.tolist()}
+
+
+@pytest.fixture
+def looks(monkeypatch):
+    """The kept columns (or None) of each look ``_wht_sums`` takes."""
+    found = []
+    real = core._kept_columns
+
+    def record(rows):
+        found.append(real(rows))
+        return found[-1]
+
+    monkeypatch.setattr(core, "_kept_columns", record)
+    return found
+
+
+def _check_sums(f, expected, monkeypatch):
+    """``_wht_sums``, ``wht`` and the +/-1 root equal the oracle, the dense path and the int64 butterfly."""
+    masks, sums = _wht_sums(f.table)
+    assert dict(zip(masks.tolist(), sums.tolist())) == expected
+    assert masks.tolist() == list(expected)
+    spec = wht(f)
+    assert spec.coeffs == expected and list(spec.coeffs) == list(expected)
+    pm = core._pm_of_sums(f.n, masks, sums)
+    want = to_pm_spectrum(spec).coeffs
+    assert pm.coeffs == want and list(pm.coeffs) == list(want)
+    plain = _butterfly_sum(f.table.astype(np.int64))
+    nz = np.flatnonzero(plain)
+    assert np.array_equal(masks, nz) and np.array_equal(sums, plain[nz])
+    with monkeypatch.context() as m:
+        m.setattr(core, "_PRUNE_MIN", 1 << 30)
+        dense_masks, dense_sums = _wht_sums(f.table)
+    assert np.array_equal(masks, dense_masks) and np.array_equal(sums, dense_sums)
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_pruned_wht_on_lifted_inputs(n, looks, monkeypatch):
+    # at most 2^6 kept columns: the levels above bit 12 run on them alone
+    for seed in (1, 2):
+        g = generate(FamilySpec("random_poly", {"n": 8, "d": 3, "seed": seed}))
+        f, expected = _lift(g, _SPREAD, n)
+        looks.clear()
+        _check_sums(f, expected, monkeypatch)
+        assert looks and looks[0] is not None and looks[0].size <= 1 << 6
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_pruned_wht_on_both_sides_of_half_the_columns(n, looks, monkeypatch):
+    # AND of 11 low coordinates and one high one: exactly 2^11 of the 2^12
+    # columns are nonzero, which is half, so they are kept.
+    high = n - 1
+    a, a_sums = _and_of([*range(11), high], n)
+    _check_sums(a, a_sums, monkeypatch)
+    assert [c.size for c in looks[:1]] == [1 << 11]
+    # The other side: where x_high = 0, f is x12 instead, which adds column
+    # 2^11 and makes 2^11 + 1 columns.  f = a + x12 - x12 * x_high, as the
+    # two parts are never 1 together.  Row 0 (x_high = 0) is x12's two
+    # columns, so the column count decides.
+    b, b_sums = _and_of([11], n)
+    c, c_sums = _and_of([11, high], n)
+    f = BooleanFunction(n, a.table | (b.table & ~c.table & 1))
+    expected = Counter(a_sums)
+    expected.update(b_sums)
+    expected.subtract(c_sums)
+    expected = {m: v for m, v in sorted(expected.items()) if v}
+    looks.clear()
+    _check_sums(f, expected, monkeypatch)
+    assert looks[:1] == [None]
+
+
+@pytest.mark.parametrize("n", [14, 16, 20])
+def test_pruned_wht_support_on_high_bits(n, looks, monkeypatch):
+    # f reads only x13 and up: every mask's low 12 bits are 0, one column
+    k = n - 12
+    g = generate(FamilySpec("random_poly", {"n": k, "d": min(k, 3), "seed": 3}))
+    f, expected = _lift(g, range(12, n), n)
+    _check_sums(f, expected, monkeypatch)
+    assert [c.tolist() for c in looks[:1]] == [[0]]
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_pruned_wht_parity_and_constant(n, looks, monkeypatch):
+    size, full = 1 << n, (1 << n) - 1
+    one = BooleanFunction(n, np.ones(size, dtype=np.uint8))
+    par = BooleanFunction(n, (np.bitwise_count(np.arange(size)) & 1).astype(np.uint8))
+    _check_sums(one, {0: size}, monkeypatch)
+    _check_sums(par, {0: size >> 1, full: -(size >> 1)}, monkeypatch)
+    assert {tuple(c.tolist()) for c in looks} == {(0,), (0, (1 << 12) - 1)}
+    assert core._pm_of_sums(n, *_wht_sums(one.table)).coeffs == {0: -size}
+    assert core._pm_of_sums(n, *_wht_sums(par.table)).coeffs == {full: size}
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_wht_sums_most_counts_before_the_masks(n):
+    # None exactly when more than `most` sums are nonzero, on either path
+    g = generate(FamilySpec("random_poly", {"n": 8, "d": 2, "seed": 4}))
+    f, expected = _lift(g, _SPREAD if n > 13 else range(8), n)
+    count = len(expected)
+    assert _wht_sums(f.table, most=count - 1) is None
+    masks, sums = _wht_sums(f.table, most=count)
+    assert dict(zip(masks.tolist(), sums.tolist())) == expected
+    assert _wht_sums(np.zeros(1 << n, dtype=np.uint8), most=0)[0].size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_function(st.integers(1, 6)))
+def test_pm_of_sums_matches_to_pm_spectrum(f):
+    # keys, values and insertion order, straight from the sums
+    pm = core._pm_of_sums(f.n, *_wht_sums(f.table)).coeffs
+    want = to_pm_spectrum(wht(f)).coeffs
+    assert pm == want == pm_spectrum_oracle(list(f.table))
+    assert list(pm) == list(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_pm_of_sums_zero_one_and_balanced(n):
+    size = 1 << n
+    zero = BooleanFunction(n, np.zeros(size, dtype=np.uint8))
+    one = BooleanFunction(n, np.ones(size, dtype=np.uint8))
+    assert core._pm_of_sums(n, *_wht_sums(zero.table)).coeffs == {0: size}
+    assert core._pm_of_sums(n, *_wht_sums(one.table)).coeffs == {0: -size}
+    if n:
+        # x1 is balanced: its +/-1 spectrum has no constant term
+        x1 = BooleanFunction(n, (np.arange(size) & 1).astype(np.uint8))
+        assert core._pm_of_sums(n, *_wht_sums(x1.table)).coeffs == {1: size}
 
 
 def test_inverse_wht_rejects_first_bad_point():

@@ -905,12 +905,15 @@ def test_greedy_cert_is_a_path_of_the_greedy_tree(n):
 def test_one_transform_per_call(monkeypatch):
     (f,) = [_lifted(e) for e in SPECTRAL_FROZEN.values() if e["n"] == 12]
     assert deg2(f) == 3
-    # span-query and degree-reduce transform f through _wht_sums, to gate
-    # the support before the spectrum's dict is built
+    # every builder transforms f through _wht_sums and makes its +/-1
+    # spectrum from the sums; span-query and degree-reduce gate the support
+    # there before any dict is built.  A call of wht would be a second one.
     calls = []
     real_wht, real_sums = pdt_module.wht, pdt_module._wht_sums
     monkeypatch.setattr(pdt_module, "wht", lambda g: calls.append(g.n) or real_wht(g))
-    monkeypatch.setattr(pdt_module, "_wht_sums", lambda t: calls.append(t.size) or real_sums(t))
+    monkeypatch.setattr(
+        pdt_module, "_wht_sums", lambda t, **kw: calls.append(t.size) or real_sums(t, **kw)
+    )
     for build in (build_greedy_l1, build_heavy_hitter, build_span_query, cert_greedy_l1):
         calls.clear()
         build(f)

@@ -71,17 +71,26 @@ def test_invariant_report_overall(f):
 def test_invariant_report_transforms_f_once(monkeypatch):
     # One transform of f for the report's own checks, one in each of the
     # two fold builders and one of the linearly substituted g; the
-    # span-query depth is the rank of the report's own spectrum.
+    # span-query depth is the rank of the report's own spectrum.  The
+    # builders take their sums from _wht_sums, which wht calls inside core.
     calls = []
-    real_wht = core.wht
+    real_wht, real_sums = core.wht, core._wht_sums
 
     def counting_wht(f):
         calls.append(f.n)
         return real_wht(f)
 
+    def counting_sums(table, **kw):
+        calls.append(table.size.bit_length() - 1)
+        return real_sums(table, **kw)
+
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "boolfourier" and getattr(module, "wht", None) is real_wht:
+        if name.split(".")[0] != "boolfourier":
+            continue
+        if getattr(module, "wht", None) is real_wht:
             monkeypatch.setattr(module, "wht", counting_wht)
+        if module is not core and getattr(module, "_wht_sums", None) is real_sums:
+            monkeypatch.setattr(module, "_wht_sums", counting_sums)
     invariant_report(generate(FamilySpec("random_poly", {"n": 6, "d": 3, "seed": 2})))
     assert calls == [6] * 4
 
