@@ -22,8 +22,9 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ._bits import mask_to_string
+from ._bits import mask_to_string, span_points
 from .errors import DimensionMismatch, InvalidEta, NotBoolean
+from .gf2 import _greedy_coords, echelon_pivots
 
 __all__ = [
     "N_MAX",
@@ -312,6 +313,10 @@ _WHT_TRANSPOSED_MIN = 1 << 9
 _PRUNE_BITS = 12
 _PRUNE_MIN = 1 << 14
 
+# From this many points up, ``_wht_sums`` first looks for the span form.  Its
+# fixed cost, some 0.3 ms, is about the whole transform at 2**16 points.
+_SPAN_MIN = 1 << 17
+
 
 def _kept_columns(rows: np.ndarray) -> Optional[np.ndarray]:
     """The nonzero columns of ``rows`` ascending, or None when more than half are.
@@ -326,14 +331,96 @@ def _kept_columns(rows: np.ndarray) -> Optional[np.ndarray]:
     return cols if cols.size <= half else None
 
 
+# For k < 6, the bits of a 64-bit word at positions with bit k clear.
+# Swapping them with the bits 2**k above XOR-translates the positions by 2**k.
+_SWAP_LOW = tuple(
+    np.uint64(sum(1 << b for b in range(64) if not b >> k & 1)) for k in range(6)
+)
+
+
+def _span_sums(packed: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(masks in bin order, row 0's int16 sums at them) when f = g(Bx), else None.
+
+    ``packed`` is the table of f on n >= 14 variables, 8 points a byte.
+    Row h of its (2**(n-12) x 2**12) matrix is f at x = h * 2**12 + l.
+    When each low-bit bin u of the spectrum holds at most one mask s, the
+    low 12 levels of row h are row 0's times (-1)^<s_high, h> at u.
+
+    Probe: the low 12 levels of row 0 and of the rows 2^j.  Each nonzero
+    bin u of row 0 proposes one mask, whose bit 12 + j is set where row 2^j
+    is the negative of row 0.  A value other than row 0's or its negative,
+    or more than 2**11 nonzero bins, gives None.
+
+    Basis: the span of the masks in reduced echelon form, with lowest-bit
+    pivots p_i.  A pivot at bit 12 or above, where the span does not
+    project one-to-one onto the low bits, gives None.
+
+    Proof: let L(2^j) be the XOR of the e_{p_i} over the basis rows b_i with
+    bit 12 + j set, and L linear.  Every row h must be row 0 XOR-translated
+    by L(h), which makes f's spectrum 2**(n-12) times row 0's, at the masks
+    (L^T u, u).  Row 0's spectrum lies in the low bits of the span, where
+    L^T u is the span's high part: the proposed masks.  So f = g(Bx), with
+    B the basis and g row 0 at the points of the pivots.  The check runs on
+    the packed 64-bit words: masked in-word swaps translate row 0 by each
+    value of bits 0-5, and one gather, whose word index is XORed with bits
+    6-11 of L(h), lays out every row.  Any other row gives None.
+    """
+    rows = packed.reshape(-1, 1 << (_PRUNE_BITS - 3))
+    k = rows.shape[0].bit_length() - 1
+    # Probed row i's sum at bin u ends in low[u >> 3, i, u & 7]: the gather
+    # does the first 3 levels and the loop the other 9.
+    low = _WHT_BYTE[rows[[0, *(1 << j for j in range(k))]].T.copy()].view(np.int8)
+    for stride in range(_PRUNE_BITS - 3):  # |v| <= 2**12 fits int16
+        low = _butterfly_level(low, 1 << stride, np.int16)
+    low = low.reshape(-1, k + 1, 8)
+    bins = np.flatnonzero(low[:, 0])
+    probe = low[bins >> 3, :, bins & 7]
+    if (
+        bins.size > 1 << (_PRUNE_BITS - 1)
+        or np.count_nonzero(low) != probe.size
+        or (np.abs(probe) != np.abs(probe[:, :1])).any()
+    ):
+        return None
+    high = 1 << np.arange(_PRUNE_BITS, _PRUNE_BITS + k)
+    masks = bins | ((probe[:, 1:] != probe[:, :1]) @ high)
+    basis, pivots = echelon_pivots(_greedy_coords(masks)[0])
+    if pivots and max(pivots) >= _PRUNE_BITS:
+        return None
+    words = packed.view("<u8").reshape(1 << k, 64)
+    moved = np.empty((64, 64), dtype=words.dtype)  # moved[v]: row 0, in-word bit b from b ^ v
+    moved[0] = words[0]
+    for bit, keep in enumerate(_SWAP_LOW):
+        s = 1 << bit
+        np.bitwise_or((moved[:s] >> s) & keep, (moved[:s] & keep) << s, out=moved[s : 2 * s])
+    # Row h is word w ^ (L(h) >> 6) of moved[L(h) & 63]; as a flat index into
+    # moved, that is L(h) with its two 6-bit halves swapped, XOR w.
+    swapped = []
+    for j in range(k):
+        shift = sum(((b >> (_PRUNE_BITS + j)) & 1) << p for b, p in zip(basis, pivots))
+        swapped.append(((shift & 63) << 6) | (shift >> 6))
+    at = span_points(swapped)[:, None] ^ np.arange(64)
+    if not np.array_equal(moved.reshape(-1)[at], words):
+        return None
+    return masks, probe[:, 0]
+
+
 def _wht_sums(
     table: np.ndarray, most: Optional[int] = None
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Exact nonzero character sums of a 0/1 table of length 2**n: (masks, sums).
 
     The masks are int64 and ascending, and the sums int32.  When more than
-    ``most`` sums are nonzero it returns None instead, before any array of
-    masks is made.
+    ``most`` sums are nonzero it returns None instead, counted before the
+    arrays it would return are made.
+
+    From ``_SPAN_MIN`` points up it first tries ``_span_sums``: probe the
+    low 12 levels of 1 + (n - 12) rows of the (2**(n-12) x 2**12) table,
+    take the span of the masks they propose, and prove f = g(Bx) on every
+    point, with B a basis of the span, by comparing the packed rows.  The
+    sums are then row 0's times 2**(n-12), and no level runs on the whole
+    table.  It falls back to the pass below when two masks share a low bin,
+    when more than 2**11 low bins are nonzero, when the span does not
+    project one-to-one onto the low 12 bits, or when a row fails the proof.
 
     One gather from ``_WHT_BYTE`` does the first three levels of every byte
     of the packed table; for n < 3 the zero padding of the byte does not
@@ -356,17 +443,28 @@ def _wht_sums(
     levels run down the nonzero columns alone, and the full table is freed.
     """
     size = table.size
+    packed = np.packbits(table, bitorder="little")
+    if size >= _SPAN_MIN:
+        span = _span_sums(packed)
+        if span is not None:
+            masks, sums = span
+            if most is not None and masks.size > most:
+                return None
+            order = np.argsort(masks)
+            scale = size.bit_length() - 1 - _PRUNE_BITS  # n - 12
+            return masks[order], sums[order].astype(np.int32) << scale
     if size < _WHT_TRANSPOSED_MIN:
-        a = _WHT_BYTE[np.packbits(table, bitorder="little")].view(np.int8)[:size]
+        a = _WHT_BYTE[packed].view(np.int8)[:size]
         h = 8
     else:
-        words = _WHT_BYTE[np.packbits(table, bitorder="little").reshape(-1, 8).T.copy()]
+        words = _WHT_BYTE[packed.reshape(-1, 8).T.copy()]
         flat = words.view(np.int8).reshape(-1)
         for stride in (size >> 3, size >> 2, size >> 1):
             _butterfly_level(flat, stride)
         a = words.T.copy().view(np.int8).reshape(-1)
         del words, flat
         h = 64
+    del packed
     cols, step = None, 1  # axis 0 of a steps x by step
     for dtype, last in _WHT_PASSES:
         while h < size and h <= last:
@@ -557,7 +655,8 @@ def _pair_sums(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The pair kernel: (s ^ t ascending, sum of a[s] * b[t] at each), on int64.
 
-    Keys whose sum is zero are left out.  Exact while l1(a) * l1(b) < 2^62.
+    Keys whose sum is zero are left out.  Exact while every partial sum of
+    products stays below 2^62, as ``_convolve_pairs`` makes sure.
     Without values every pair counts 1, and the sums are pair counts.
 
     Up to ``_PAIRS_BLOCK`` pairs it is one numpy pass over them
@@ -582,11 +681,16 @@ def _pair_sums(
 def _convolve_pairs(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
     """XOR convolution over support pairs: ``_pair_sums`` when it pays and is exact.
 
-    Up to ``_PAIRS_LOOP_MAX`` pairs, and when l1(a) * l1(b) reaches 2^62,
-    it is the double loop on Python ints.
+    Up to ``_PAIRS_LOOP_MAX`` pairs, and when sum(a^2) * sum(b^2) reaches
+    2^124, it is the double loop on Python ints.  Below that bound each
+    product, and each partial sum of one key's products, is at most
+    sqrt(sum(a^2) * sum(b^2)) < 2^62 by Cauchy-Schwarz, so int64 is exact.
+    A side whose values are all zero counts as 1, so that every value of
+    the other side fits int64 too.
     """
     if len(a) * len(b) <= _PAIRS_LOOP_MAX or (
-        sum(map(abs, a.values())) * sum(map(abs, b.values())) >= _INT64_SAFE
+        max(sum(v * v for v in a.values()), 1) * max(sum(v * v for v in b.values()), 1)
+        >= _INT64_SAFE**2
     ):
         return _convolve_loop(a, b)
     (a_keys, a_vals), (b_keys, b_vals) = _as_arrays(a), _as_arrays(b)

@@ -525,9 +525,11 @@ def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
     """
     n = pm.n
     trace = BuildTrace(n)
-    # Equal subtrees share one node (and the trace equal annotations one
-    # dict), so what a build leaves behind grows with its distinct parts.
+    # Equal subtrees share one node, equal query masks one int (and the
+    # trace equal annotations one dict), so what a build leaves behind grows
+    # with its distinct parts.
     subtrees: dict = {}
+    masks: dict = {}
 
     def rec(spec: Spectrum, frame: _Frame, state, parent, branch) -> PdtNodeOrLeaf:
         q, t, info, child_state = choose(spec, frame, state)
@@ -543,6 +545,7 @@ def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
         )
         if q is None:
             return _LEAVES[_leaf_bit(spec)]
+        q = masks.setdefault(q, q)
         branches = frame.branches(t)
         b0 = frame.fold_bit(q, 0)  # answer beta folds on b0 ^ beta
         child0, child1 = (
@@ -729,8 +732,8 @@ def _span_root_pm(f: BooleanFunction) -> Spectrum:
     -2 times the character sum.  Unless f is 0 everywhere, when nothing is
     nonzero, the sum at mask 0 (f's ones) is nonzero too.  So the count off
     mask 0 reaches ``_SPAN_LEAVES`` exactly when more than that many sums
-    are nonzero, and ``_wht_sums`` counts them before it makes any array of
-    masks.
+    are nonzero, and ``_wht_sums`` counts them before it makes the arrays it
+    returns.
     """
     found = _wht_sums(f.table, most=_SPAN_LEAVES)
     if found is None:

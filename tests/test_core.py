@@ -30,8 +30,10 @@ from boolfourier import (
 )
 from boolfourier import core
 from boolfourier._bits import lex_key, lex_keys
+from boolfourier.gf2 import gf2_rank
 from boolfourier.families import FamilySpec, generate
 from boolfourier.core import (
+    _butterfly_pays,
     _butterfly_sum,
     _convolve_butterfly,
     _convolve_loop,
@@ -343,6 +345,7 @@ def looks(monkeypatch):
 def _check_sums(f, expected, monkeypatch):
     """``_wht_sums``, ``wht`` and the +/-1 root equal the oracle, the dense path and the int64 butterfly."""
     masks, sums = _wht_sums(f.table)
+    assert (masks.dtype, sums.dtype) == (np.int64, np.int32)
     assert dict(zip(masks.tolist(), sums.tolist())) == expected
     assert masks.tolist() == list(expected)
     spec = wht(f)
@@ -355,6 +358,7 @@ def _check_sums(f, expected, monkeypatch):
     assert np.array_equal(masks, nz) and np.array_equal(sums, plain[nz])
     with monkeypatch.context() as m:
         m.setattr(core, "_PRUNE_MIN", 1 << 30)
+        m.setattr(core, "_SPAN_MIN", 1 << 30)
         dense_masks, dense_sums = _wht_sums(f.table)
     assert np.array_equal(masks, dense_masks) and np.array_equal(sums, dense_sums)
 
@@ -406,12 +410,26 @@ def test_pruned_wht_support_on_high_bits(n, looks, monkeypatch):
 
 @pytest.mark.parametrize("n", [14, 20])
 def test_pruned_wht_parity_and_constant(n, looks, monkeypatch):
-    size, full = 1 << n, (1 << n) - 1
+    # From _SPAN_MIN points the constant and the parity take the span path.
+    # x13, and x13 times the parity of x1..x12, put two masks in bin 0 (and
+    # in bin 2^12 - 1), so they reach the pruned pass at every n.
+    size, full, low = 1 << n, (1 << n) - 1, (1 << 12) - 1
+    x = np.arange(size)
     one = BooleanFunction(n, np.ones(size, dtype=np.uint8))
-    par = BooleanFunction(n, (np.bitwise_count(np.arange(size)) & 1).astype(np.uint8))
+    par = BooleanFunction(n, (np.bitwise_count(x) & 1).astype(np.uint8))
     _check_sums(one, {0: size}, monkeypatch)
     _check_sums(par, {0: size >> 1, full: -(size >> 1)}, monkeypatch)
-    assert {tuple(c.tolist()) for c in looks} == {(0,), (0, (1 << 12) - 1)}
+    looks.clear()
+    x13 = ((x >> 12) & 1).astype(np.uint8)
+    both = x13 & (np.bitwise_count(x & low) & 1).astype(np.uint8)
+    half, quarter = size >> 1, size >> 2
+    _check_sums(BooleanFunction(n, x13), {0: half, 1 << 12: -half}, monkeypatch)
+    _check_sums(
+        BooleanFunction(n, both),
+        {0: quarter, low: -quarter, 1 << 12: -quarter, low | 1 << 12: quarter},
+        monkeypatch,
+    )
+    assert {tuple(c.tolist()) for c in looks} == {(0,), (0, low)}
     assert core._pm_of_sums(n, *_wht_sums(one.table)).coeffs == {0: -size}
     assert core._pm_of_sums(n, *_wht_sums(par.table)).coeffs == {full: size}
 
@@ -426,6 +444,189 @@ def test_wht_sums_most_counts_before_the_masks(n):
     masks, sums = _wht_sums(f.table, most=count)
     assert dict(zip(masks.tolist(), sums.tolist())) == expected
     assert _wht_sums(np.zeros(1 << n, dtype=np.uint8), most=0)[0].size == 0
+
+
+# ---------------------------------------------------------------------------
+# The span path (from _SPAN_MIN points, from n = 14 in these tests): f = g(Bx)
+# proven on every point, the sums read off the low levels of row 0.
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """Whether each span look ``_wht_sums`` takes succeeds; the looks start at n = 14."""
+    found = []
+    real = core._span_sums
+
+    def record(packed):
+        result = real(packed)
+        found.append(result is not None)
+        return result
+
+    monkeypatch.setattr(core, "_span_sums", record)
+    monkeypatch.setattr(core, "_SPAN_MIN", core._PRUNE_MIN)
+    return found
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The pivots of each echelon basis the span look takes."""
+    found = []
+    real = core.echelon_pivots
+
+    def record(rows):
+        basis, at = real(rows)
+        found.append(at)
+        return basis, at
+
+    monkeypatch.setattr(core, "echelon_pivots", record)
+    return found
+
+
+def _forms_lift(g_table, forms, n):
+    """f(x) = g(<forms[0], x>, ..., <forms[r-1], x>) on n variables, and f's sums.
+
+    The forms are independent, so f's sum at the XOR of the forms over the
+    set bits of t is 2^(n - r) times g's sum at t, from g's int64 butterfly.
+    """
+    x = np.arange(1 << n)
+    inner = np.zeros_like(x)
+    for i, form in enumerate(forms):
+        inner |= (np.bitwise_count(x & form) & 1).astype(x.dtype) << i
+    g_sums = _butterfly_sum(g_table.astype(np.int64))
+    expected = {}
+    for t in np.flatnonzero(g_sums).tolist():
+        mask = 0
+        for i, form in enumerate(forms):
+            if t >> i & 1:
+                mask ^= form
+        expected[mask] = int(g_sums[t]) << (n - len(forms))
+    return BooleanFunction(n, g_table[inner]), dict(sorted(expected.items()))
+
+
+def _independent(rng, r, bits):
+    """r random independent masks below 2^bits."""
+    forms = []
+    while len(forms) < r:
+        form = int(rng.integers(1, 1 << bits))
+        if gf2_rank(forms + [form]) > len(forms):
+            forms.append(form)
+    return forms
+
+
+@pytest.mark.parametrize("n", [14, 17, 20])
+@pytest.mark.parametrize("r", [0, 1, 5, 8, 12])
+def test_span_path_on_random_lifts(n, r, spans):
+    # a random g on r bits through r random forms: the span path where the
+    # span projects one-to-one onto the low 12 bits, else the pruned pass
+    # (r = 12 has more than 2^11 bins); the same sums either way
+    rng = np.random.default_rng(100 * n + r)
+    g = rng.integers(0, 2, 1 << r, dtype=np.uint8)
+    f, expected = _forms_lift(g, _independent(rng, r, n), n)
+    masks, sums = _wht_sums(f.table)
+    assert (masks.dtype, sums.dtype) == (np.int64, np.int32)
+    assert masks.tolist() == list(expected) and sums.tolist() == list(expected.values())
+    assert wht(f).coeffs == expected
+    assert len(spans) == 2 and (spans[0] or r >= 8)
+
+
+@pytest.mark.parametrize("n", [14, 17, 20])
+def test_span_path_masks_with_high_bits_and_low_pivots(n, spans, pivots, monkeypatch):
+    # Forms with independent low 12 bits and random high bits: the masks
+    # cross bit 12, the pivots are low and the look succeeds.  r = 12 with
+    # 130 masks: the multiplexer of 3 address and 8 data bits (65 masks in
+    # 11 dimensions) times y12.
+    rng = np.random.default_rng(n)
+    y = np.arange(1 << 12)
+    mux = (((y >> 3) >> (y & 7)) & 1 & (y >> 11)).astype(np.uint8)
+    for g in (rng.integers(0, 2, 1 << 8, dtype=np.uint8), mux):
+        r = g.size.bit_length() - 1
+        low = _independent(rng, r, 12)
+        forms = [part | int(rng.integers(1, 1 << (n - 12))) << 12 for part in low]
+        f, expected = _forms_lift(g, forms, n)
+        spans.clear()
+        pivots.clear()
+        _check_sums(f, expected, monkeypatch)
+        assert spans == [True, True]
+        assert len(pivots[0]) == r and max(pivots[0]) < 12
+        assert any(mask >> 12 for mask in expected)
+    assert len(expected) == 130
+
+
+def _oracle_sums(f):
+    """f's nonzero sums by the int64 butterfly."""
+    plain = _butterfly_sum(f.table.astype(np.int64))
+    nz = np.flatnonzero(plain)
+    return dict(zip(nz.tolist(), plain[nz].tolist()))
+
+
+def test_span_path_falls_back_at_each_step(spans, pivots, monkeypatch):
+    # n = 20, one input per failing step, which takes the pruned or the full
+    # pass; the proof's index (span_points) is only made once the basis holds
+    n = 20
+    x = np.arange(1 << n)
+    bit = [((x >> i) & 1).astype(np.uint8) for i in range(n)]
+    proofs = []
+    real = core.span_points
+    monkeypatch.setattr(core, "span_points", lambda v: proofs.append(len(v)) or real(v))
+
+    def check(f, expected=None):
+        spans.clear()
+        pivots.clear()
+        proofs.clear()
+        _check_sums(f, _oracle_sums(f) if expected is None else expected, monkeypatch)
+        assert spans == [False, False]
+
+    # Probe, nonzero pattern: x13's masks 0 and 2^12 cancel in bin 0 of row
+    # 0, not of row 1.
+    check(BooleanFunction(n, bit[12]), {0: 1 << (n - 1), 1 << 12: -(1 << (n - 1))})
+    assert (pivots, proofs) == ([], [])
+    # Probe, magnitudes: the majority of x1, x2 and x13 has masks 0 and 2^12
+    # in bin 0, 4 - 2 on row 0 and 4 + 2 on row 1 (times 2^(n - 3)).
+    check(BooleanFunction(n, (bit[0] & bit[1]) | (bit[0] & bit[12]) | (bit[1] & bit[12])))
+    assert (pivots, proofs) == ([], [])
+    # Basis: two bent functions of x1..x4 with the same magnitudes, chosen by
+    # x13.  One mask a bin, but the signs of row 1 are quadratic in the bin:
+    # the span holds 2^12 alone, a pivot at bit 12.
+    ip = (bit[0] & bit[1]) ^ (bit[2] & bit[3])
+    check(BooleanFunction(n, np.where(bit[12] == 1, ip ^ (bit[0] & bit[2]), ip)))
+    assert max(pivots[0]) == 12 and proofs == []
+    # Proof: a quadratic on _SPREAD whose four masks a bin agree in sign on
+    # rows 1 and 2 with row 0, but not on row 3.
+    g = generate(FamilySpec("random_poly", {"n": 8, "d": 2, "seed": 1}))
+    check(*_lift(g, _SPREAD, n))
+    assert pivots and max(pivots[0]) < 12 and proofs
+    # More than 2^11 nonzero bins in row 0: a random g on 12 forms with
+    # independent low bits, of the span form but past the bin count.
+    rng = np.random.default_rng(n)
+    forms = [part | int(rng.integers(1, 1 << (n - 12))) << 12 for part in _independent(rng, 12, 12)]
+    check(*_forms_lift(rng.integers(0, 2, 1 << 12, dtype=np.uint8), forms, n))
+    assert (pivots, proofs) == ([], [])
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_span_path_honours_most(n, spans):
+    # None exactly when more than `most` sums are nonzero
+    g = generate(FamilySpec("random_poly", {"n": 8, "d": 2, "seed": 4}))
+    f, expected = _lift(g, range(8), n)
+    count = len(expected)
+    assert _wht_sums(f.table, most=count - 1) is None
+    masks, sums = _wht_sums(f.table, most=count)
+    assert dict(zip(masks.tolist(), sums.tolist())) == expected
+    assert _wht_sums(np.zeros(1 << n, dtype=np.uint8), most=0)[0].size == 0
+    assert spans == [True, True, True]
+
+
+def test_span_path_peak_memory_n20(spans):
+    # The look holds the packed table (2^n / 8 bytes), the proof's word index
+    # and gathered rows (2^(n - 3) bytes each) and the probe's levels (four
+    # bytes at each of 2^12 points of 1 + (n - 12) rows): some 0.5 MiB,
+    # against 3 MiB for the pruned pass
+    n = 20
+    rng = np.random.default_rng(n)
+    forms = [part | int(rng.integers(1, 1 << (n - 12))) << 12 for part in _independent(rng, 8, 12)]
+    f, _ = _forms_lift(rng.integers(0, 2, 1 << 8, dtype=np.uint8), forms, n)
+    assert _peak_beyond_output(f.table) <= (3 << (n - 3)) + (4 << 12) * (n - 11) + (16 << 10)
+    assert spans == [True]
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,7 +745,7 @@ def _map_with_l1(rng: random.Random, n: int, count: int, l1: int) -> dict:
 
 @pytest.mark.parametrize("count", [9, 40])
 def test_pair_kernel_matches_loop_below_int64_bound(count):
-    # l1(a) * l1(b) = 2^62 - 1: the last product the int64 kernel takes
+    # l1(a) * l1(b) = 2^62 - 1, so no sum of products reaches 2^62
     rng = random.Random(count)
     a = _map_with_l1(rng, 12, count, (1 << 31) - 1)
     b = _map_with_l1(rng, 12, count, (1 << 31) + 1)
@@ -562,12 +763,39 @@ def test_pair_kernel_matches_loop_below_int64_bound(count):
 
 @pytest.mark.parametrize("l1", [1 << 31, 1 << 45])
 def test_pair_kernel_matches_loop_above_int64_bound(l1):
-    # l1(a) * l1(b) >= 2^62: Python ints; at 2^90 the int64 products would wrap
+    # l1(a) * l1(b) >= 2^62.  At 2^31 the sums of squares stay below 2^124
+    # and the int64 kernel is exact; at 2^45 they do not, and the Python
+    # loop runs, where the int64 products would wrap.
     rng = random.Random(l1.bit_length())
     a = _map_with_l1(rng, 12, 20, l1)
     b = _map_with_l1(rng, 12, 20, l1)
     assert _convolve_pairs(a, b) == _convolve_loop(a, b)
     assert _convolve_pairs(a, a) == _convolve_loop(a, a)
+
+
+def test_pair_kernel_gate_is_the_sums_of_squares(monkeypatch):
+    # 64 values of magnitude 2^25 to 2^26 a side: l1(a) * l1(b) >= 2^62, over
+    # the l1 gate, but sum(a^2) * sum(b^2) <= 2^116 < 2^124, so every sum of
+    # products is below 2^58 and the int64 kernel takes the pairs
+    rng = random.Random(26)
+    a, b = (
+        {m: rng.choice((-1, 1)) * rng.randint(1 << 25, 1 << 26) for m in rng.sample(range(99), 64)}
+        for _ in range(2)
+    )
+    assert sum(map(abs, a.values())) * sum(map(abs, b.values())) >= 1 << 62
+    assert sum(v * v for v in a.values()) * sum(v * v for v in b.values()) < 1 << 124
+    want = _convolve_loop(a, b), _convolve_loop(a, a)
+    monkeypatch.setattr(core, "_convolve_loop", None)  # the loop is not taken
+    got = _convolve_pairs(a, b), _convolve_pairs(a, a)
+    assert got == want and [list(d) for d in got] == [list(d) for d in want]
+
+
+def test_pair_kernel_gate_with_a_side_of_zeros():
+    # sum(b^2) = 0 would let values of a past int64 through the gate
+    a = {m: 1 << 70 for m in range(9)}
+    b = dict.fromkeys(range(9), 0)
+    assert not _butterfly_pays(len(a) * len(b), 6)
+    assert xor_convolve(a, b, 6) == _convolve_loop(a, b) == {}
 
 
 @pytest.mark.parametrize("l0", [1, 2, 9, 64, 256])
