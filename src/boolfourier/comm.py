@@ -2,7 +2,9 @@
 
 A parity decision tree for f turns into a protocol directly: for each node
 the two sides announce <mask, x> and <mask, y> (two bits per round) and both
-follow the branch of the XOR, which equals <mask, x xor y>.
+follow the branch of the XOR, which equals <mask, x xor y>.  So it runs on
+``pdt``'s walks: a transcript is the path of x xor y, and the check over
+all pairs routes them as ``pdt_check`` routes points.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ._bits import dot
 from .core import _INT64_SAFE, BooleanFunction
 from .errors import DimensionMismatch, TooLarge
-from .pdt import Pdt, PdtNode
+from .pdt import Pdt, _path, _route
 
 __all__ = [
     "xor_matrix",
@@ -324,50 +326,33 @@ class ProtocolReport:
 def simulate_protocol(tree: Pdt, x: int, y: int) -> Transcript:
     """Run the two-bit-per-round protocol derived from a parity tree.
 
-    Each round both parties announce their side's parity of the current
-    query mask; the shared branch is the XOR, so the walk tracks
-    pdt_eval(tree, x xor y) exactly.
+    The rounds are the path of x xor y (``pdt._path``, ``pdt_eval``'s
+    walk): each round both parties announce their side's parity of that
+    round's query mask, and the shared branch is the XOR.
     """
     top = 1 << tree.n
     if not (0 <= x < top and 0 <= y < top):
         raise DimensionMismatch(f"inputs out of range for n={tree.n}")
-    rounds: List[Round] = []
-    node = tree.root
-    while isinstance(node, PdtNode):
-        a = dot(node.mask, x)
-        b = dot(node.mask, y)
-        rounds.append(Round(node.mask, a, b))
-        node = node.child1 if a ^ b else node.child0
-    return Transcript(tuple(rounds), node.value)
+    masks, output = _path(tree, x ^ y)
+    return Transcript(tuple(Round(m, dot(m, x), dot(m, y)) for m in masks), output)
 
 
 def verify_protocol(tree: Pdt, f: BooleanFunction) -> ProtocolReport:
     """Exhaustively check the protocol against f(x xor y) over all 4^n pairs.
 
-    All pairs are routed down the tree at once.  At each node Alice's bit
-    <mask, x> and Bob's bit <mask, y> are computed for every pair that
-    reached it, and the pairs branch on their XOR, as in
-    ``simulate_protocol``; at each leaf the leaf value is compared with
-    f(x xor y) for every pair that arrived there.
+    The pairs are the indices x * 2^n + y, routed down the tree at once by
+    ``pdt._route`` (``pdt_check``'s router).  On a pair index the query m
+    acts as the mask m * (2^n + 1), whose parity on the pair is Alice's bit
+    <m, x> xor Bob's bit <m, y>.  The leaf values are then compared with
+    f(x xor y) in one pass.
     """
     if tree.n != f.n:
         raise DimensionMismatch(f"tree on {tree.n} variables, f on {f.n}")
     if f.n > _SWEEP_N_LIMIT:
         raise TooLarge(f"exhaustive pair sweep supports n <= {_SWEEP_N_LIMIT}")
-    # Pair indices x * 2^n + y fit in 16 bits while n <= 8.
-    pairs = np.arange(1 << (2 * f.n), dtype=np.uint16)
-    correct = True
-    stack = [(tree.root, pairs >> f.n, pairs & ((1 << f.n) - 1))]
-    while stack:
-        node, x, y = stack.pop()
-        if not isinstance(node, PdtNode):
-            if np.any(f.table[x ^ y] != node.value):
-                correct = False
-                break
-            continue
-        alice = np.bitwise_count(x & node.mask)
-        bob = np.bitwise_count(y & node.mask)
-        branch = ((alice ^ bob) & 1).astype(bool)
-        stack.append((node.child1, x[branch], y[branch]))
-        stack.append((node.child0, x[~branch], y[~branch]))
+    size = 1 << f.n
+    # pair indices fit in 16 bits while n <= 8, and points in 8
+    points = np.arange(size, dtype=np.uint8)
+    outputs = _route(tree, 2 * f.n, size + 1)
+    correct = np.array_equal(outputs, f.table[np.bitwise_xor.outer(points, points)].ravel())
     return ProtocolReport(correct=correct, max_cost=2 * tree.depth())

@@ -764,7 +764,8 @@ def pointwise_product(a: Spectrum, b: Spectrum) -> Spectrum:
     """
     if a.n != b.n:
         raise DimensionMismatch(f"spectra on n={a.n} and n={b.n}")
-    return Spectrum(a.n, a.denom_exp + b.denom_exp, xor_convolve(a.coeffs, b.coeffs, a.n))
+    coeffs = xor_convolve(a.coeffs, b.coeffs, a.n)  # nonzero ints on masks below 2^n
+    return Spectrum._from_clean(a.n, a.denom_exp + b.denom_exp, coeffs)
 
 
 def hypercontractivity_check(

@@ -9,19 +9,21 @@ construction.
 
 Trees and certificates share one walk.  It folds the +/-1 spectrum of f
 and the frame along a query at each node, so trace l1 numerators stay over
-the root denominator ``2**f.n`` and are comparable along every path.  Every
-tree builder is a chooser over ``_grow``, which expands both branches.  A
-span-query subtree, where every node of a level asks the same mask, is
-built a level at a time instead (``_span_subtree``).  A certificate is one
-root-to-leaf path of the greedy tree (``_greedy_path``), following either
-the preferred branch or the one holding an anchor point.
+the root denominator ``2**f.n`` and are comparable along every path.  The
+fold builders and degree-reduce are choosers over ``_grow``, which expands
+both branches.  Span-query's tree, where every node of a level asks the
+same mask, is built a level at a time instead (``_span_subtree``), as are
+degree-reduce's fallback subtrees.  A certificate is one root-to-leaf
+path of the greedy tree (``_greedy_path``), following either the
+preferred branch or the one holding an anchor point.
 Both take each fold from ``_fold_step``, turn an answer into a fold bit by
 ``_Frame.fold_bit`` and take the branch's frame from ``_Frame.branches``.
 The frame is ``restrict._Frame``, the one code path that restricts: a
 builder or certificate that needs the truth table of a restriction gathers
 it once from the frame (``_Frame.restriction``).  Both norm-halving
 sub-certificates are paths on the outer frame, so they come back in
-original coordinates.
+original coordinates.  A built tree is read by one point's path (``_path``)
+or by routing many indices at once (``_route``), for comm's protocol too.
 The degree-drop search needs no frame.  ``_Bases`` walks the candidates'
 canonical bases as arrays, each prefix's next rows one run of a submask
 table, and the rows give each kernel directly.  Candidates are tested in
@@ -389,29 +391,39 @@ class RankResult:
     witness: Tuple[AffineConstraint, ...]
 
 
+def _path(tree: Pdt, x: int) -> Tuple[List[int], int]:
+    """The query masks on point x's path, root first, and the leaf value it reaches."""
+    masks = []
+    node = tree.root
+    while isinstance(node, PdtNode):
+        masks.append(node.mask)
+        node = node.child1 if dot(node.mask, x) else node.child0
+    return masks, node.value
+
+
 def pdt_eval(tree: Pdt, x: int) -> int:
     """Evaluate the tree on a point by following parity answers."""
     if not 0 <= x < (1 << tree.n):
         raise DimensionMismatch(f"point {x} out of range for n={tree.n}")
-    node = tree.root
-    while isinstance(node, PdtNode):
-        node = node.child1 if dot(node.mask, x) else node.child0
-    return node.value
+    return _path(tree, x)[1]
 
 
-def _eval_all(tree: Pdt) -> np.ndarray:
-    """Tree output on every point, computed by index partitioning."""
-    out = np.zeros(1 << tree.n, dtype=np.uint8)
+def _route(tree: Pdt, bits: int, spread: int = 1) -> np.ndarray:
+    """The leaf value each index below 2**bits reaches, by index partitioning.
 
-    def walk(node: PdtNodeOrLeaf, idx: np.ndarray) -> None:
+    At a node querying m, index i takes the branch <m * spread, i>: with
+    spread 1 the indices are the points.  Indices are the narrowest unsigned
+    dtype and masks Python ints, so the AND does not widen them.
+    """
+    out = np.empty(1 << bits, dtype=np.uint8)
+    stack = [(tree.root, np.arange(1 << bits, dtype=np.min_scalar_type((1 << bits) - 1)))]
+    while stack:
+        node, idx = stack.pop()
         if isinstance(node, PdtLeaf):
             out[idx] = node.value
-            return
-        bits = np.bitwise_count(np.bitwise_and(idx, np.int64(node.mask))) & 1
-        walk(node.child0, idx[bits == 0])
-        walk(node.child1, idx[bits == 1])
-
-    walk(tree.root, np.arange(1 << tree.n, dtype=np.int64))
+            continue
+        odd = (np.bitwise_count(idx & node.mask * spread) & 1).view(bool)
+        stack += (node.child1, idx[odd]), (node.child0, idx[~odd])
     return out
 
 
@@ -419,7 +431,7 @@ def pdt_check(f: BooleanFunction, tree: Pdt) -> PdtCheckReport:
     """Exhaustively compare the tree with f; report depth, size, first mismatch."""
     if tree.n != f.n:
         raise DimensionMismatch(f"tree on {tree.n} variables, f on {f.n}")
-    outputs = _eval_all(tree)
+    outputs = _route(tree, tree.n)
     diff = np.nonzero(outputs != f.table)[0]
     correct = diff.size == 0
     depth, size, _ = _shape(tree.root)
@@ -519,9 +531,8 @@ def _grow(pm: Spectrum, choose, state) -> Tuple[Pdt, BuildTrace]:
     the original mask to query, its direction in the frame's coordinates,
     the trace annotations and the state both children get.  ``q`` is None
     for a leaf, whose value is the constant ``spec``, and ``_SPAN`` when
-    span-query's subtree, every node annotated ``info``, takes the node
-    (``_span_subtree``, a level at a time, with no fold).  ``state`` is the
-    root's state.
+    degree-reduce's fallback, a span-query subtree with every node annotated
+    ``info``, takes the node (``_span_subtree``).  ``state`` is the root's.
     """
     n = pm.n
     trace = BuildTrace(n)
@@ -653,7 +664,7 @@ def _span_subtree(
     parent: Optional[int],
     branch: Optional[int],
 ) -> PdtNodeOrLeaf:
-    """Span-query's subtree at a node of ``_grow``, built a level at a time.
+    """Span-query's subtree at the root or at a node of ``_grow``, a level at a time.
 
     Every path asks the queries of ``_span_array`` in order, so the node at
     depth k is the answers beta_1..beta_k, and spec is constant after q_r.
@@ -668,7 +679,7 @@ def _span_subtree(
     Trace rows go in ``_grow``'s preorder: the children of the node with
     id i at depth k get ids i + 1 and i + 2**(r-k).  Every row shares
     ``info``.  The nodes are made bottom-up, one per distinct pair of
-    children a level, through ``_grow``'s ``subtrees``.
+    children a level, through the build's ``subtrees``.
     """
     queries, a = _span_array(spec, frame)
     r = len(queries)
@@ -720,11 +731,6 @@ def _span_subtree(
     return made[int(kids[0])]
 
 
-def _span_chooser(_spec: Spectrum, _frame: _Frame, info: dict):
-    """Chooser handing the whole tree to span-query's subtree, annotated ``info``."""
-    return _SPAN, None, info, None
-
-
 def _span_root_pm(f: BooleanFunction) -> Spectrum:
     """``_pm_of(f)``, refused by ``_span_subtree``'s support gate before any dict.
 
@@ -743,7 +749,9 @@ def _span_root_pm(f: BooleanFunction) -> Spectrum:
 
 def build_span_query(f: BooleanFunction) -> Tuple[Pdt, BuildTrace]:
     """Query a basis of the span of the support; depth is the span's dimension."""
-    return _grow(_span_root_pm(f), _span_chooser, {})
+    trace = BuildTrace(f.n)
+    root = _span_subtree(_span_root_pm(f), _Frame.identity(f.n), {}, trace, {}, None, None)
+    return Pdt(f.n, root), trace
 
 
 # ---------------------------------------------------------------------------

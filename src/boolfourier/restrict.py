@@ -258,7 +258,7 @@ def spectrum_split(spectrum: Spectrum, t: int) -> Tuple[Spectrum, Spectrum]:
     off_kernel: dict[int, int] = {}
     for s, num in spectrum.coeffs.items():
         (off_kernel if dot(s, t) else on_kernel)[s] = num
-    return (
-        Spectrum(spectrum.n, spectrum.denom_exp, on_kernel),
-        Spectrum(spectrum.n, spectrum.denom_exp, off_kernel),
+    return (  # subsets of a valid spectrum's coefficients: no second check
+        Spectrum._from_clean(spectrum.n, spectrum.denom_exp, on_kernel),
+        Spectrum._from_clean(spectrum.n, spectrum.denom_exp, off_kernel),
     )

@@ -4,12 +4,14 @@ records of frozen certificates.
 The oracles recompute everything from definitions in plain Python (direct
 double-loop transforms, subset-sum Moebius, point-selection restrictions,
 Fraction Gaussian elimination) so package results can be checked against
-arithmetic that shares no code with the implementation.  Three references
-are slow loops the vectorized code is checked against instead:
-``protocol_oracle``, the per-pair loop over ``simulate_protocol`` behind
-``verify_protocol``, ``first_drop_reference``, the per-candidate
-degree-drop search behind the batched one, and ``span_tree_oracle``, one
-``restrict_affine`` and ``wht`` per node behind span-query's level pass.
+arithmetic that shares no code with the implementation.  Four references
+are slow loops the package's code is checked against instead:
+``transcript_reference``, the node-by-node protocol behind
+``simulate_protocol``'s path walk, ``protocol_oracle``, the per-pair loop
+over ``simulate_protocol`` behind ``verify_protocol``,
+``first_drop_reference``, the per-candidate degree-drop search behind the
+batched one, and ``span_tree_oracle``, one ``restrict_affine`` and ``wht``
+per node behind span-query's level pass.
 """
 
 from __future__ import annotations
@@ -296,6 +298,21 @@ def xor_matrix_oracle(table: Sequence[int]) -> List[List[int]]:
 
 # ---------------------------------------------------------------------------
 # Slow reference loops for vectorized package code.
+
+
+def transcript_reference(tree, x: int, y: int) -> Tuple[List[Tuple[int, int, int]], int]:
+    """The protocol run node by node: ([(mask, Alice's bit, Bob's bit)], output).
+
+    Each round both sides announce their parity of the node's mask and both
+    take the branch of the XOR, with no walk of the package's.
+    """
+    rounds = []
+    node = tree.root
+    while hasattr(node, "mask"):
+        a, b = parity(node.mask & x), parity(node.mask & y)
+        rounds.append((node.mask, a, b))
+        node = node.child1 if a ^ b else node.child0
+    return rounds, node.value
 
 
 def protocol_oracle(tree, f) -> bool:

@@ -1,6 +1,7 @@
 """XOR-function matrices, exact integer rank and protocol simulation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from boolfourier import (
     xor_matrix,
 )
 
-from helpers import matrix_rank_oracle, protocol_oracle, xor_matrix_oracle
+from helpers import matrix_rank_oracle, protocol_oracle, transcript_reference, xor_matrix_oracle
 
 AND2 = BooleanFunction(2, [0, 0, 0, 1])
 PAR1 = BooleanFunction(1, [0, 1])
@@ -357,6 +358,29 @@ def test_verify_protocol_matches_per_pair_oracle(n, rng):
     assert not protocol_oracle(flipped, f)
     g = BooleanFunction.from_int(n, rng.getrandbits(1 << n))
     assert verify_protocol(tree, g).correct == protocol_oracle(tree, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_simulate_protocol_matches_transcript_reference(n, rng):
+    tree = _random_tree(rng, n)
+    for x in range(1 << n):
+        for y in range(1 << n):
+            tr = simulate_protocol(tree, x, y)
+            rounds, output = transcript_reference(tree, x, y)
+            assert [(r.mask, r.alice_bit, r.bob_bit) for r in tr.rounds] == rounds
+            assert tr.output == output
+
+
+def test_verify_protocol_parity8_top_pair_mask():
+    # the all-ones query acts on pair indices as 0xFF * 257 = 2^16 - 1,
+    # the largest uint16 index
+    f = generate(FamilySpec("parity", {"n": 8}))
+    tree, _ = build_greedy_l1(f)
+    assert tree.root.mask * 257 == 0xFFFF
+    assert verify_protocol(tree, f).correct
+    flipped = Pdt(8, _flip_one_leaf(tree.root, random.Random(0)))
+    assert not verify_protocol(flipped, f).correct
 
 
 def test_verify_protocol_n8_detects_one_point():
